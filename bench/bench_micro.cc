@@ -11,11 +11,11 @@
 // machine-readable JSON report with GFLOP/s and speedups over the frozen
 // seed kernel and over the 1-thread run.
 //
-// Run with --obs_json=PATH (requires a -DTFMAE_OBS=ON build) to exercise the
-// observability layer: a fixed GEMM + attention workload is run with
-// instrumentation enabled, the per-op totals recorded by the obs registry are
-// compared against externally measured wall time (they must agree within
-// 10%), and the full metrics snapshot is written to PATH as JSON.
+// Run with --obs_json=PATH to exercise the observability layer: a fixed
+// GEMM + attention workload is run with instrumentation enabled, the per-op
+// totals recorded by the obs registry are compared against externally
+// measured wall time (they must agree within 10%), and the full metrics
+// snapshot is written to PATH as JSON.
 //
 // Run with --memory_plane_json=PATH to benchmark the memory plane: a
 // Transformer-layer + Adam training step is timed with the buffer pool on
@@ -28,9 +28,9 @@
 // TFMAE fit is trained to completion, then re-run with periodic crash-safe
 // checkpoints, killed mid-epoch at a step budget and resumed; the report
 // records checkpoint write/load timings and whether the resumed weights are
-// bitwise identical to the uninterrupted run. In a -DTFMAE_FAULTS=ON build
-// the drill additionally injects NaN losses and checkpoint-write failures
-// and records the numeric-guard recovery counters.
+// bitwise identical to the uninterrupted run. The drill then injects NaN
+// losses and checkpoint-write failures and records the numeric-guard
+// recovery counters.
 //
 // Run with --inference_plan_json=PATH to benchmark pre-planned inference
 // (DESIGN.md §10): eager TfmaeModel::ScoreWindow vs InferencePlan replay
@@ -560,15 +560,9 @@ int RunMemoryPlaneSweep(const std::string& path) {
 /// Runs a fixed GEMM + attention workload with instrumentation enabled and
 /// checks that the per-op totals the obs registry recorded agree with wall
 /// time measured outside the instrumented code. Writes the full metrics
-/// snapshot to `path`. Returns non-zero if instrumentation is compiled out
-/// or the recorded totals drift more than 10% from wall time.
+/// snapshot to `path`. Returns non-zero if the recorded totals drift more
+/// than 10% from wall time.
 int RunObsProfile(const std::string& path) {
-  if (!obs::CompiledIn()) {
-    std::fprintf(stderr,
-                 "--obs_json requires instrumentation compiled in; rebuild "
-                 "with -DTFMAE_OBS=ON (see docs/OBSERVABILITY.md)\n");
-    return 1;
-  }
   obs::SetEnabled(true);
   obs::Registry::Instance().Reset();
   using clock = std::chrono::steady_clock;
@@ -1181,9 +1175,9 @@ int RunQuantSweep(const std::string& path, int max_profiles) {
 /// Exercises the crash-safe training path end to end: an uninterrupted
 /// reference fit, then a checkpointed fit killed at a step budget and
 /// resumed from disk. Verifies the resumed weights match the reference
-/// bitwise (the DESIGN.md §9 contract) and, when fault points are compiled
-/// in, that a fit under injected NaN losses and checkpoint-write failures
-/// still converges. Writes a JSON report to `path`.
+/// bitwise (the DESIGN.md §9 contract) and that a fit under injected NaN
+/// losses and checkpoint-write failures still converges. Writes a JSON
+/// report to `path`.
 int RunResilienceSweep(const std::string& path) {
   using clock = std::chrono::steady_clock;
 
@@ -1257,42 +1251,35 @@ int RunResilienceSweep(const std::string& path) {
       static_cast<long long>(resumed_at_step),
       bitwise_identical ? "true" : "false");
 
-  // Fault drill (fault builds only): NaN losses and checkpoint-write
-  // failures injected at fixed probabilities must leave training finished,
-  // finite, and accounted for in the numeric-guard counters.
-  bool fault_drill_ran = false;
-  bool fault_drill_ok = true;
-  core::TrainStats drill_stats;
-  std::int64_t drill_injected = 0;
-  if (fault::CompiledIn()) {
-    fault_drill_ran = true;
-    fault::Configure("train.nan_loss:0.05,io.checkpoint_write:0.25", 42);
-    const std::string drill_dir = dir + "_faulty";
-    std::filesystem::remove_all(drill_dir);
-    core::FitOptions drill_options;
-    drill_options.checkpoint_dir = drill_dir;
-    drill_options.checkpoint_every = 4;
-    core::TfmaeDetector drilled(config);
-    drilled.Fit(series, drill_options);
-    drill_stats = drilled.train_stats();
-    drill_injected =
-        static_cast<std::int64_t>(fault::InjectedCount("train.nan_loss")) +
-        static_cast<std::int64_t>(fault::InjectedCount("io.checkpoint_write"));
-    fault::Clear();
-    fault_drill_ok = !drill_stats.interrupted &&
-                     std::isfinite(drill_stats.mean_loss_last_epoch) &&
-                     drill_stats.numeric.skipped_steps ==
-                         drill_stats.numeric.nonfinite_loss +
-                             drill_stats.numeric.nonfinite_grad;
-    std::filesystem::remove_all(drill_dir);
-    std::printf(
-        "fault drill: %lld injected, %lld steps skipped, %lld checkpoint "
-        "failures, final loss %.6g\n",
-        static_cast<long long>(drill_injected),
-        static_cast<long long>(drill_stats.numeric.skipped_steps),
-        static_cast<long long>(drill_stats.checkpoint_failures),
-        drill_stats.mean_loss_last_epoch);
-  }
+  // Fault drill: NaN losses and checkpoint-write failures injected at fixed
+  // probabilities must leave training finished, finite, and accounted for
+  // in the numeric-guard counters.
+  fault::Configure("train.nan_loss:0.05,io.checkpoint_write:0.25", 42);
+  const std::string drill_dir = dir + "_faulty";
+  std::filesystem::remove_all(drill_dir);
+  core::FitOptions drill_options;
+  drill_options.checkpoint_dir = drill_dir;
+  drill_options.checkpoint_every = 4;
+  core::TfmaeDetector drilled(config);
+  drilled.Fit(series, drill_options);
+  const core::TrainStats drill_stats = drilled.train_stats();
+  const std::int64_t drill_injected =
+      static_cast<std::int64_t>(fault::InjectedCount("train.nan_loss")) +
+      static_cast<std::int64_t>(fault::InjectedCount("io.checkpoint_write"));
+  fault::Clear();
+  const bool fault_drill_ok = !drill_stats.interrupted &&
+                              std::isfinite(drill_stats.mean_loss_last_epoch) &&
+                              drill_stats.numeric.skipped_steps ==
+                                  drill_stats.numeric.nonfinite_loss +
+                                      drill_stats.numeric.nonfinite_grad;
+  std::filesystem::remove_all(drill_dir);
+  std::printf(
+      "fault drill: %lld injected, %lld steps skipped, %lld checkpoint "
+      "failures, final loss %.6g\n",
+      static_cast<long long>(drill_injected),
+      static_cast<long long>(drill_stats.numeric.skipped_steps),
+      static_cast<long long>(drill_stats.checkpoint_failures),
+      drill_stats.mean_loss_last_epoch);
   std::filesystem::remove_all(dir);
 
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -1326,24 +1313,20 @@ int RunResilienceSweep(const std::string& path) {
       static_cast<long long>(options.checkpoint_every), killed_sec,
       resumed ? "true" : "false", static_cast<long long>(resumed_at_step),
       resume_sec, bitwise_identical ? "true" : "false");
-  std::fprintf(f, "  \"fault_drill\": ");
-  if (fault_drill_ran) {
-    std::fprintf(
-        f,
-        "{\"spec\": \"train.nan_loss:0.05,io.checkpoint_write:0.25\", "
-        "\"seed\": 42, \"injected\": %lld, \"skipped_steps\": %lld, "
-        "\"restores\": %lld, \"lr_backoffs\": %lld, "
-        "\"checkpoint_failures\": %lld, \"final_loss\": %.9g, "
-        "\"recovered\": %s},\n",
-        static_cast<long long>(drill_injected),
-        static_cast<long long>(drill_stats.numeric.skipped_steps),
-        static_cast<long long>(drill_stats.numeric.restores),
-        static_cast<long long>(drill_stats.numeric.lr_backoffs),
-        static_cast<long long>(drill_stats.checkpoint_failures),
-        drill_stats.mean_loss_last_epoch, fault_drill_ok ? "true" : "false");
-  } else {
-    std::fprintf(f, "null,\n");
-  }
+  std::fprintf(
+      f,
+      "  \"fault_drill\": {\"spec\": "
+      "\"train.nan_loss:0.05,io.checkpoint_write:0.25\", "
+      "\"seed\": 42, \"injected\": %lld, \"skipped_steps\": %lld, "
+      "\"restores\": %lld, \"lr_backoffs\": %lld, "
+      "\"checkpoint_failures\": %lld, \"final_loss\": %.9g, "
+      "\"recovered\": %s},\n",
+      static_cast<long long>(drill_injected),
+      static_cast<long long>(drill_stats.numeric.skipped_steps),
+      static_cast<long long>(drill_stats.numeric.restores),
+      static_cast<long long>(drill_stats.numeric.lr_backoffs),
+      static_cast<long long>(drill_stats.checkpoint_failures),
+      drill_stats.mean_loss_last_epoch, fault_drill_ok ? "true" : "false");
   std::fprintf(f,
                "  \"summary\": {\"weights_bitwise_identical\": %s, "
                "\"fault_drill_recovered\": %s}\n}\n",

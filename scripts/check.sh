@@ -1,260 +1,146 @@
 #!/usr/bin/env bash
-# Build and run the test suite, optionally under a sanitizer or with the
-# observability layer compiled in.
+# Build and run the test suite, optionally under a sanitizer, plus the
+# soaks, smokes and bench sweeps that need the same binaries.
 #
 # Usage:
-#   scripts/check.sh [plain|thread|address|undefined|obs|pool|faults|report|bench|plan|serve|quant|chaos|live] [extra ctest args...]
+#   scripts/check.sh [plain|address|thread|undefined|bench] [extra ctest args...]
 #
 # Examples:
 #   scripts/check.sh                 # plain Release build, full suite
-#   scripts/check.sh thread          # ThreadSanitizer build, full suite
+#   scripts/check.sh thread          # ThreadSanitizer, full suite twice
 #   scripts/check.sh thread -R Gemm  # tsan build, GEMM/thread-pool tests only
-#   scripts/check.sh obs             # -DTFMAE_OBS=ON + tsan, collection on
-#   scripts/check.sh faults          # -DTFMAE_FAULTS=ON + UBSan + seeded sweep
-#   scripts/check.sh report          # run-telemetry suite + bench-gate smoke
+#   scripts/check.sh address -j4     # ASan passes in parallel, then soaks
 #   scripts/check.sh bench           # bench sweeps gated against baselines
-#   scripts/check.sh quant           # int8 suites under ASan+UBSan + parity smoke
-#   scripts/check.sh chaos           # serve-resilience suite + kill -9 soak
-#   scripts/check.sh live            # live-observability suites + scrape smoke
 #
-# The obs mode is the instrumentation soak from docs/OBSERVABILITY.md: the
-# whole tier-1 suite runs with the macros compiled in, TFMAE_OBS=1 so every
-# site actually records, and ThreadSanitizer watching the registry's
-# lock-free shard path.
+# Every build compiles the observability sites and the fault-injection
+# points in; TFMAE_OBS=1 and a configured fault spec switch them on at run
+# time. So one build per sanitizer covers every suite, and each mode builds
+# into its own directory (build-check-<mode>) so sanitized and plain object
+# files never mix. Extra arguments go to every ctest run of the mode.
 #
-# The pool mode is the memory-plane soak from DESIGN.md: the tier-1 suite
-# runs under AddressSanitizer three times — pool on, pool on with the NaN
-# scrub canary, and TFMAE_POOL=0 — so buffer recycling, read-before-write
-# of recycled memory, and the unpooled escape hatch are all exercised with
-# lifetime checking. The PoolDeterminismTest cases inside the suite pin the
-# two-seed bitwise pooled-vs-unpooled training-loss comparison at 1/2/4
-# threads.
+# plain: the full tier-1 suite in a Release build, including the run
+# ledger / flight recorder / report / registry-cap suites with the
+# 1/2/4-thread replay-determinism contract and the injected-fault
+# postmortem.
 #
-# The faults mode is the resilience soak from docs/RESILIENCE.md: the whole
-# tier-1 suite runs with -DTFMAE_FAULTS=ON (and UndefinedBehaviorSanitizer,
-# since injected failures walk the error paths that rarely run otherwise).
-# Injection points are compiled in but inert, so the suite must pass exactly
-# as in a plain build — that is the first run. The second phase re-runs the
-# fault-injection tests under a sweep of seeds (TFMAE_FAULT_SWEEP_SEED),
-# which the tests use to drive randomized injected I/O failures, NaN losses,
-# and interrupts; training and recovery must survive every seed.
+# address: the memory-plane soak from DESIGN.md and every soak that wants
+# lifetime checking. The full suite runs under AddressSanitizer three
+# times — pool on, pool on with the NaN scrub canary, and TFMAE_POOL=0 — so
+# buffer recycling, read-before-write of recycled memory, the unpooled
+# escape hatch, hand-planned plan arenas, per-lane plan replicas, snapshot
+# and socket-buffer lifetimes are all exercised. The live-observability
+# suites (exporter, HTTP endpoint, stage timelines, SLOs, drift) run once
+# more with TFMAE_OBS=1 so every macro site records. Then, on the ASan
+# binaries:
+#  * serve smoke (docs/SERVING.md): a 30-second 256-stream tfmae_serve
+#    replay with --verify (batched == sequential);
+#  * chaos soak (docs/RESILIENCE.md, "Serving resilience"):
+#    scripts/chaos_soak.py kill -9s a live tfmae_serve mid-run three times,
+#    restores each from its newest valid snapshot, re-feeds the tail, and
+#    fails unless the union of the score logs is bitwise-identical to an
+#    uninterrupted run;
+#  * live smoke (docs/OBSERVABILITY.md, "Live endpoints & SLOs"):
+#    scripts/live_smoke.py scrapes /metrics of a 256-stream tfmae_serve
+#    mid-load, checks the exposition format and the stage-sum/end-to-end
+#    reconciliation, and asserts /healthz flips to 503 during drain;
+#  * quant parity smoke (DESIGN.md §12): `bench_micro --quant_json
+#    --quant_profiles=3` fails if int8 F1 drifts past tolerance or int8
+#    scores diverge across thread counts.
 #
-# The report mode is the run-telemetry gate from docs/OBSERVABILITY.md
-# ("Run ledger & flight recorder"): a -DTFMAE_OBS=ON -DTFMAE_FAULTS=ON
-# Release build runs the ledger / flight-recorder / report / registry-cap
-# suites — including the 1/2/4-thread replay-determinism contract and the
-# injected-fault postmortem — then smoke-tests the benchmark gate against
-# the committed baselines.
+# thread: the full suite under ThreadSanitizer twice — as is, and with
+# TFMAE_OBS=1 so every instrumented site records while TSan watches the
+# registry's lock-free shard path, plan replay's parallel-for chunks, and
+# the fleet server's lock-free stream publication and lane claiming.
 #
-# The plan mode is the pre-planned-inference soak from DESIGN.md §10: the
-# InferencePlan suite (bitwise eager-vs-planned scoring, arena accounting,
-# injected capture faults, the scrub canary) runs twice — once under
-# AddressSanitizer (arena offsets and lifetimes are hand-planned, so every
-# replay is an ASan workout) and once under ThreadSanitizer (replay
-# dispatches coarse parallel-for chunks over shared arena rows). Both runs
-# compile -DTFMAE_FAULTS=ON and -DTFMAE_OBS=ON so the fallback and ledger
-# cases are active rather than skipped.
+# undefined: the resilience soak from docs/RESILIENCE.md. The full suite
+# runs under UndefinedBehaviorSanitizer (injected failures walk error paths
+# that rarely run otherwise, and no fault is configured unless a test asks
+# for one). Then the fault-injection tests re-run under a sweep of seeds
+# (TFMAE_FAULT_SWEEP_SEED), which drive randomized injected I/O failures,
+# NaN losses, and interrupts; training and recovery must survive every
+# seed.
 #
-# The serve mode is the fleet-serving soak from docs/SERVING.md: the
-# serve suite (concurrent ingest, backpressure, batched-vs-sequential
-# bitwise identity at 1/2/4 threads, drain completeness) runs twice —
-# under AddressSanitizer (per-lane plan arenas, snapshot lifetimes) and
-# under ThreadSanitizer (lock-free stream publication, lane claiming,
-# concurrent Push/Flush) — then a 30-second tfmae_serve smoke replays a
-# 256-stream synthetic fleet end to end with --verify.
-#
-# The chaos mode is the serving-resilience soak from docs/RESILIENCE.md
-# ("Serving resilience"): the serve-resilience suite (snapshot/restore
-# bitwise identity at 1/2/4 threads, corrupted-newest fallback, shed
-# policies, the sticky degraded latch, drain under concurrent producers,
-# the scoring watchdog, and the serve.* fault points) runs under
-# AddressSanitizer with -DTFMAE_FAULTS=ON and -DTFMAE_OBS=ON, then
-# scripts/chaos_soak.py kill -9s a live tfmae_serve mid-run three times
-# (one seed per thread count), restores each from its newest valid
-# snapshot, re-feeds the tail, and fails unless the union of the killed
-# and resumed score logs is bitwise-identical to an uninterrupted
-# reference run.
-#
-# The live mode is the live-observability soak from docs/OBSERVABILITY.md
-# ("Live endpoints & SLOs"): the exporter / HTTP endpoint / stage-timeline /
-# SLO / drift suites run under AddressSanitizer (socket buffers, reservoir
-# and ring lifetimes) and ThreadSanitizer (the scrape thread reads the
-# registry while scoring threads record into it), both with -DTFMAE_OBS=ON
-# and -DTFMAE_FAULTS=ON so every macro site is live. Then
-# scripts/live_smoke.py drives a 256-stream tfmae_serve with
-# --metrics_port=0, scrapes /metrics mid-load, validates the exposition
-# format and the stage-sum/end-to-end reconciliation, and asserts /healthz
-# flips to 503 during drain.
-#
-# The bench mode is the performance gate from docs/OBSERVABILITY.md
-# ("Benchmark gating"): it runs the bench_micro JSON sweeps in the same
-# build and fails if any tracked relative metric (speedup ratios,
-# allocation reduction, bitwise-determinism booleans) regresses past the
-# tolerance in scripts/bench_gate.py.
-#
-# The quant mode is the int8-scoring soak from DESIGN.md §12: the quant
-# suites (kernel ISA/thread-count bitwise identity, QuantSpec container
-# round-trips, calibration edge cases, int8 plan activation and fallback —
-# including the injected-fault fp32 demotion) run under AddressSanitizer
-# and again under UndefinedBehaviorSanitizer, both with -DTFMAE_FAULTS=ON
-# and -DTFMAE_OBS=ON so the fallback and ledger cases are active. Then the
-# ASan build runs a 3-profile F1-parity smoke (`bench_micro
-# --quant_json ... --quant_profiles=3`), which fails on its own if int8 F1
-# drifts past the tolerance or int8 scores diverge across thread counts.
-# The full 5-profile parity sweep with the 1.8x speedup floor runs in
-# bench mode, where timings are unsanitized.
-#
-# Each mode builds into its own directory (build-check-<mode>) so sanitized
-# and plain object files never mix.
+# bench: the performance gate from docs/OBSERVABILITY.md ("Benchmark
+# gating"): the bench_micro JSON sweeps in a Release build, failing if any
+# tracked relative metric (speedup ratios, allocation reduction,
+# bitwise-determinism booleans, the 5-profile int8 F1 parity) regresses
+# past the tolerance in scripts/bench_gate.py, plus the gate's smoke run of
+# the committed baselines against themselves.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-SAN="${1:-plain}"
+MODE="${1:-plain}"
 shift || true
 
-case "$SAN" in
-  plain)   SAN_FLAG="" ;;
-  thread|address|undefined) SAN_FLAG="-DTFMAE_SANITIZE=$SAN" ;;
-  obs)     SAN_FLAG="-DTFMAE_OBS=ON -DTFMAE_SANITIZE=thread" ;;
-  pool)    SAN_FLAG="-DTFMAE_SANITIZE=address" ;;
-  faults)  SAN_FLAG="-DTFMAE_FAULTS=ON -DTFMAE_OBS=ON -DTFMAE_SANITIZE=undefined" ;;
-  report|bench) SAN_FLAG="-DTFMAE_OBS=ON -DTFMAE_FAULTS=ON" ;;
-  plan|serve|quant|chaos|live) SAN_FLAG="" ;;
+case "$MODE" in
+  plain|bench) CMAKE_FLAGS=() ;;
+  address|thread|undefined) CMAKE_FLAGS=("-DTFMAE_SANITIZE=$MODE") ;;
   *)
-    echo "usage: $0 [plain|thread|address|undefined|obs|pool|faults|report|bench|plan|serve|quant|chaos|live] [ctest args...]" >&2
+    echo "usage: $0 [plain|address|thread|undefined|bench] [ctest args...]" >&2
     exit 2
     ;;
 esac
 
-# configure_and_build DIR [cmake flags...] — one CMake configure + build per
-# mode/sanitizer combination, each into its own directory so sanitized and
-# plain object files never mix.
-configure_and_build() {
-  local dir="$1"
-  shift
-  cmake -B "$dir" -S . "$@" >/dev/null
-  cmake --build "$dir" -j "$(nproc)"
-}
+BUILD_DIR="build-check-$MODE"
+cmake -B "$BUILD_DIR" -S . "${CMAKE_FLAGS[@]}" >/dev/null
+cmake --build "$BUILD_DIR" -j "$(nproc)"
 
-if [ "$SAN" = "plan" ]; then
-  for san in address thread; do
-    BUILD_DIR="build-check-plan-$san"
-    configure_and_build "$BUILD_DIR" \
-      -DTFMAE_OBS=ON -DTFMAE_FAULTS=ON "-DTFMAE_SANITIZE=$san"
-    echo "== plan suite: $san sanitizer, capture/replay/fallback tests =="
-    ctest --test-dir "$BUILD_DIR" --output-on-failure -R 'InferencePlan' "$@"
-  done
-  exit 0
-fi
+suite() { ctest --test-dir "$BUILD_DIR" --output-on-failure "$@"; }
 
-if [ "$SAN" = "serve" ]; then
-  for san in address thread; do
-    BUILD_DIR="build-check-serve-$san"
-    configure_and_build "$BUILD_DIR" \
-      -DTFMAE_OBS=ON -DTFMAE_FAULTS=ON "-DTFMAE_SANITIZE=$san"
-    echo "== serve suite: $san sanitizer, fleet-server tests =="
-    ctest --test-dir "$BUILD_DIR" --output-on-failure -R 'Serve' "$@"
-  done
-  echo "== serve smoke: 256 streams, 30 seconds, batched == sequential =="
-  "build-check-serve-address/tools/tfmae_serve" \
-    --streams=256 --threads=2 --seconds=30 --verify
-  exit 0
-fi
-
-if [ "$SAN" = "chaos" ]; then
-  BUILD_DIR="build-check-chaos"
-  configure_and_build "$BUILD_DIR" \
-    -DTFMAE_OBS=ON -DTFMAE_FAULTS=ON -DTFMAE_SANITIZE=address
-  echo "== serve resilience suite: ASan, snapshot/shed/watchdog/fault tests =="
-  ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -R 'FleetSnapshot|FleetShed|FleetDrain|FleetFault|StreamStateCodec' "$@"
-  echo "== chaos soak: kill -9 mid-run, restore, union-of-logs bitwise =="
-  python3 scripts/chaos_soak.py --serve-bin "$BUILD_DIR/tools/tfmae_serve"
-  exit 0
-fi
-
-if [ "$SAN" = "live" ]; then
-  for san in address thread; do
-    BUILD_DIR="build-check-live-$san"
-    configure_and_build "$BUILD_DIR" \
-      -DTFMAE_OBS=ON -DTFMAE_FAULTS=ON "-DTFMAE_SANITIZE=$san"
-    echo "== live suite: $san sanitizer, exporter/endpoint/SLO/drift tests =="
-    TFMAE_OBS=1 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-      -R 'PromExport|HttpEndpoint|ServeObs|RegistryOverflow|HistogramQuantile' "$@"
-  done
-  echo "== live smoke: 256 streams, mid-load scrape, drained /healthz == 503 =="
-  TFMAE_OBS=1 python3 scripts/live_smoke.py \
-    --serve-bin "build-check-live-address/tools/tfmae_serve"
-  exit 0
-fi
-
-if [ "$SAN" = "quant" ]; then
-  for san in address undefined; do
-    BUILD_DIR="build-check-quant-$san"
-    configure_and_build "$BUILD_DIR" \
-      -DTFMAE_OBS=ON -DTFMAE_FAULTS=ON "-DTFMAE_SANITIZE=$san"
-    echo "== quant suite: $san sanitizer, kernel/spec/calibration/plan tests =="
-    ctest --test-dir "$BUILD_DIR" --output-on-failure -R 'Quant' "$@"
-  done
-  echo "== quant parity smoke: 3 dataset profiles, int8 vs fp32 F1 =="
-  "build-check-quant-address/bench/bench_micro" \
-    --quant_json="build-check-quant-address/quant_smoke.json" \
-    --quant_profiles=3
-  exit 0
-fi
-
-BUILD_DIR="build-check-$SAN"
-
-configure_and_build "$BUILD_DIR" $SAN_FLAG
-if [ "$SAN" = "obs" ]; then
-  TFMAE_OBS=1 ctest --test-dir "$BUILD_DIR" --output-on-failure "$@"
-elif [ "$SAN" = "faults" ]; then
-  echo "== faults suite: UBSan, injection points compiled in but inert =="
-  ctest --test-dir "$BUILD_DIR" --output-on-failure "$@"
-  for seed in 1 7 1234; do
-    echo "== faults sweep: injected failures, seed $seed =="
-    TFMAE_FAULT_SWEEP_SEED="$seed" \
-      ctest --test-dir "$BUILD_DIR" --output-on-failure \
-      -R 'FaultRegistry|FaultInjection|NumericGuard' "$@"
-  done
-elif [ "$SAN" = "report" ]; then
-  echo "== telemetry suite: ledger, flight recorder, report, registry caps =="
-  ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -R 'Ledger|FlightRecorder|Report|RegistryOverflow|KsDistance|Obs' "$@"
-  echo "== bench gate smoke: committed baselines vs themselves =="
-  python3 scripts/bench_gate.py --smoke
-elif [ "$SAN" = "bench" ]; then
-  OUT_DIR="$BUILD_DIR/bench_sweeps"
-  mkdir -p "$OUT_DIR"
-  echo "== bench sweep: tensor backend =="
-  "$BUILD_DIR/bench/bench_micro" \
-    --tensor_backend_json="$OUT_DIR/tensor_backend.json"
-  echo "== bench sweep: memory plane =="
-  "$BUILD_DIR/bench/bench_micro" \
-    --memory_plane_json="$OUT_DIR/memory_plane.json"
-  echo "== bench sweep: resilience =="
-  "$BUILD_DIR/bench/bench_micro" \
-    --resilience_json="$OUT_DIR/resilience.json"
-  echo "== bench sweep: inference plan =="
-  "$BUILD_DIR/bench/bench_micro" \
-    --inference_plan_json="$OUT_DIR/inference_plan.json"
-  echo "== bench sweep: fleet serving =="
-  "$BUILD_DIR/bench/bench_micro" \
-    --serving_json="$OUT_DIR/serving.json"
-  echo "== bench sweep: int8 quantization (5-profile F1 parity) =="
-  "$BUILD_DIR/bench/bench_micro" \
-    --quant_json="$OUT_DIR/quant.json"
-  echo "== bench gate: sweeps vs bench_results/baselines =="
-  python3 scripts/bench_gate.py --current-dir "$OUT_DIR"
-elif [ "$SAN" = "pool" ]; then
-  echo "== pool suite: ASan, TFMAE_POOL=1 =="
-  TFMAE_POOL=1 ctest --test-dir "$BUILD_DIR" --output-on-failure "$@"
-  echo "== pool suite: ASan, TFMAE_POOL=1 TFMAE_POOL_SCRUB=1 =="
-  TFMAE_POOL=1 TFMAE_POOL_SCRUB=1 \
-    ctest --test-dir "$BUILD_DIR" --output-on-failure "$@"
-  echo "== pool suite: ASan, TFMAE_POOL=0 =="
-  TFMAE_POOL=0 ctest --test-dir "$BUILD_DIR" --output-on-failure "$@"
-else
-  ctest --test-dir "$BUILD_DIR" --output-on-failure "$@"
-fi
+case "$MODE" in
+  plain)
+    suite "$@"
+    ;;
+  address)
+    echo "== full suite: ASan, TFMAE_POOL=1 =="
+    TFMAE_POOL=1 suite "$@"
+    echo "== full suite: ASan, TFMAE_POOL=1 TFMAE_POOL_SCRUB=1 =="
+    TFMAE_POOL=1 TFMAE_POOL_SCRUB=1 suite "$@"
+    echo "== full suite: ASan, TFMAE_POOL=0 =="
+    TFMAE_POOL=0 suite "$@"
+    echo "== live suites: ASan, TFMAE_OBS=1 =="
+    TFMAE_OBS=1 suite \
+      -R 'PromExport|HttpEndpoint|ServeObs|RegistryOverflow|HistogramQuantile' \
+      "$@"
+    echo "== serve smoke: 256 streams, 30 seconds, batched == sequential =="
+    "$BUILD_DIR/tools/tfmae_serve" \
+      --streams=256 --threads=2 --seconds=30 --verify
+    echo "== chaos soak: kill -9 mid-run, restore, union-of-logs bitwise =="
+    python3 scripts/chaos_soak.py --serve-bin "$BUILD_DIR/tools/tfmae_serve"
+    echo "== live smoke: 256 streams, mid-load scrape, /healthz 503 on drain =="
+    TFMAE_OBS=1 python3 scripts/live_smoke.py \
+      --serve-bin "$BUILD_DIR/tools/tfmae_serve"
+    echo "== quant parity smoke: 3 dataset profiles, int8 vs fp32 F1 =="
+    "$BUILD_DIR/bench/bench_micro" \
+      --quant_json="$BUILD_DIR/quant_smoke.json" --quant_profiles=3
+    ;;
+  thread)
+    echo "== full suite: TSan =="
+    suite "$@"
+    echo "== full suite: TSan, TFMAE_OBS=1 =="
+    TFMAE_OBS=1 suite "$@"
+    ;;
+  undefined)
+    echo "== full suite: UBSan, no fault configured =="
+    suite "$@"
+    for seed in 1 7 1234; do
+      echo "== fault sweep: UBSan, injected failures, seed $seed =="
+      TFMAE_FAULT_SWEEP_SEED="$seed" \
+        suite -R 'FaultRegistry|FaultInjection|NumericGuard' "$@"
+    done
+    ;;
+  bench)
+    OUT_DIR="$BUILD_DIR/bench_sweeps"
+    mkdir -p "$OUT_DIR"
+    for sweep in tensor_backend memory_plane resilience inference_plan \
+                 serving quant; do
+      echo "== bench sweep: $sweep =="
+      "$BUILD_DIR/bench/bench_micro" "--${sweep}_json=$OUT_DIR/$sweep.json"
+    done
+    echo "== bench gate: sweeps vs bench_results/baselines =="
+    python3 scripts/bench_gate.py --current-dir "$OUT_DIR"
+    echo "== bench gate smoke: committed baselines vs themselves =="
+    python3 scripts/bench_gate.py --smoke
+    ;;
+esac

@@ -498,27 +498,32 @@ bool TfmaeDetector::LoadCheckpoint(const std::string& prefix) {
   const auto config = LoadConfig(prefix + ".config");
   if (!config.has_value()) return false;
 
+  // Everything is loaded into locals and committed only once the weights
+  // load, so a failed load leaves this detector exactly as it was. The
+  // row count is not trusted for sizing: rows are read until the count is
+  // reached, and a short file fails.
   std::ifstream norm(prefix + ".norm");
-  if (!norm) return false;
   std::size_t count = 0;
-  norm >> count;
-  if (!norm || count == 0) return false;
-  std::vector<float> means(count);
-  std::vector<float> stds(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    norm >> means[i] >> stds[i];
+  if (!(norm >> count) || count == 0) return false;
+  std::vector<float> means;
+  std::vector<float> stds;
+  float mean = 0.0f;
+  float stddev = 0.0f;
+  while (means.size() < count && norm >> mean >> stddev) {
+    means.push_back(mean);
+    stds.push_back(stddev);
   }
-  if (!norm) return false;
+  if (means.size() != count) return false;
+
+  Rng rng(config->seed);
+  auto model = std::make_unique<TfmaeModel>(static_cast<std::int64_t>(count),
+                                            *config, &rng);
+  if (!nn::LoadParameters(model.get(), prefix + ".weights")) return false;
 
   config_ = *config;
-  rng_ = Rng(config_.seed);
+  rng_ = rng;
   normalizer_.SetStatistics(std::move(means), std::move(stds));
-  model_ = std::make_unique<TfmaeModel>(static_cast<std::int64_t>(count),
-                                        config_, &rng_);
-  if (!nn::LoadParameters(model_.get(), prefix + ".weights")) {
-    model_.reset();
-    return false;
-  }
+  model_ = std::move(model);
   plan_.reset();  // loaded weights: any captured plan is stale
   quant_spec_ = QuantSpec{};
   std::string quant_error;

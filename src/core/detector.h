@@ -161,8 +161,9 @@ class TfmaeDetector : public AnomalyDetector {
   bool SaveCheckpoint(const std::string& prefix) const;
 
   /// Restores a detector saved by SaveCheckpoint. The returned detector is
-  /// ready to Score() without re-fitting. Returns false on failure (and
-  /// leaves this detector unusable until a successful Fit/Load).
+  /// ready to Score() without re-fitting. Returns false on failure and
+  /// leaves this detector exactly as it was (a fitted detector still scores
+  /// with its previous weights).
   bool LoadCheckpoint(const std::string& prefix);
 
  private:

@@ -51,7 +51,7 @@ struct NumericGuardOptions {
 };
 
 /// Counts of every intervention since construction. Mirrored into the
-/// metrics registry under `train.numeric.*` (obs builds).
+/// metrics registry under `train.numeric.*` (while obs::Enabled()).
 struct NumericGuardStats {
   std::int64_t nonfinite_loss = 0;   ///< steps with a NaN/Inf loss value
   std::int64_t nonfinite_grad = 0;   ///< steps with a NaN/Inf gradient norm

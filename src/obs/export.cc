@@ -133,8 +133,7 @@ void DumpText(std::ostream& os, int top_k) {
 
 void DumpJsonTo(std::ostream& os) {
   const MetricsSnapshot snap = SnapshotWithFaults();
-  os << "{\n  \"obs_compiled\": " << (CompiledIn() ? "true" : "false")
-     << ",\n  \"counters\": {";
+  os << "{\n  \"counters\": {";
   bool first = true;
   for (const auto& [name, value] : snap.counters) {
     os << (first ? "" : ",") << "\n    \"" << JsonEscape(name)
@@ -247,9 +246,9 @@ void AtExitDump() {
 }  // namespace
 
 bool MaybeProfileFromArgs(int* argc, char** argv) {
-  // Fault-build binaries that use the shared flag glue honour the
-  // TFMAE_FAULTS env spec (a no-op in default builds and when unset).
-  if (fault::CompiledIn()) fault::ConfigureFromEnv();
+  // Binaries that use the shared flag glue honour the TFMAE_FAULTS env spec
+  // (a no-op when unset).
+  fault::ConfigureFromEnv();
   constexpr std::string_view kJson = "--obs_json=";
   constexpr std::string_view kTrace = "--obs_trace=";
   constexpr std::string_view kText = "--obs_text";
@@ -283,7 +282,6 @@ bool MaybeProfileFromArgs(int* argc, char** argv) {
   if (!any) return false;
   *argc = out;
   argv[out] = nullptr;
-  if (!CompiledIn()) PrintObsDisabledHint();
   SetEnabled(true);
   if (!recorder_path.empty()) {
     FlightRecorder::Instance().Arm(recorder_path);
@@ -309,13 +307,6 @@ bool MaybeProfileFromArgs(int* argc, char** argv) {
   if (g_trace_path != nullptr) StartTracing();
   std::atexit(AtExitDump);
   return true;
-}
-
-void PrintObsDisabledHint() {
-  std::fprintf(stderr,
-               "obs: this binary was built without instrumentation "
-               "(-DTFMAE_OBS=OFF); profiles and ledgers will be empty. "
-               "Rebuild with -DTFMAE_OBS=ON.\n");
 }
 
 }  // namespace tfmae::obs

@@ -57,14 +57,10 @@ bool WriteChromeTrace(const std::string& path);
 ///   --flight_recorder=PATH  arm the crash flight recorder and install the
 ///                         fatal-signal postmortem handlers
 /// from argv (compacting it and decrementing *argc) and registers the
-/// corresponding atexit writers. Returns true if any flag was seen. In a
-/// build without instrumentation (-DTFMAE_OBS=OFF) the flags are still
-/// consumed but PrintObsDisabledHint() fires: the dumps would be empty.
+/// corresponding atexit writers. Returns true if any flag was seen. Also
+/// applies the TFMAE_FAULTS / TFMAE_FAULTS_SEED environment spec
+/// (fault::ConfigureFromEnv), flags or not.
 bool MaybeProfileFromArgs(int* argc, char** argv);
-
-/// The one shared "this build has no instrumentation" stderr hint, so every
-/// bench and example prints the identical -DTFMAE_OBS=ON guidance.
-void PrintObsDisabledHint();
 
 }  // namespace tfmae::obs
 

@@ -29,9 +29,9 @@
 //
 // Everything is statically allocated and recording costs one snprintf into
 // a ring slot, so the recorder is safe to leave armed for whole training
-// runs. Like the ledger, the class is always compiled; the emission sites
-// in core/nn are compiled out unless -DTFMAE_OBS=ON and the recorder
-// records nothing until Arm() provides an output path.
+// runs. Like the ledger's, the emission sites in core/nn are compiled into
+// every build, and the recorder records nothing until Arm() provides an
+// output path.
 #ifndef TFMAE_OBS_FLIGHT_RECORDER_H_
 #define TFMAE_OBS_FLIGHT_RECORDER_H_
 
@@ -109,14 +109,10 @@ class FlightRecorder {
   char path_[512] = {};
 };
 
-/// Emission-site gate, mirroring LedgerActive(): compile-time on
-/// -DTFMAE_OBS=ON, runtime on the recorder being armed.
+/// Emission-site gate, mirroring LedgerActive(): true iff the recorder is
+/// armed.
 inline bool FlightRecorderActive() {
-#if defined(TFMAE_OBS_ENABLED)
   return FlightRecorder::Instance().armed();
-#else
-  return false;
-#endif
 }
 
 }  // namespace tfmae::obs

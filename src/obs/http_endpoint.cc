@@ -65,6 +65,12 @@ void HttpEndpoint::Handle(std::string path, Handler handler) {
 }
 
 bool HttpEndpoint::Start(int port, std::string* error) {
+  if (port < 0 || port > 65535) {
+    if (error != nullptr) {
+      *error = "port " + std::to_string(port) + " is outside [0, 65535]";
+    }
+    return false;
+  }
   const auto fail = [&](const std::string& why) {
     if (error != nullptr) *error = why + " (" + std::strerror(errno) + ")";
     if (listen_fd_ >= 0) {

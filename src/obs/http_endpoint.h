@@ -50,7 +50,8 @@ class HttpEndpoint {
   void Handle(std::string path, Handler handler);
 
   /// Binds 0.0.0.0:`port` (0 picks an ephemeral port, readable via port())
-  /// and starts the accept loop. Returns false with the reason in `*error`.
+  /// and starts the accept loop. Returns false with the reason in `*error`,
+  /// including for a port outside [0, 65535].
   bool Start(int port, std::string* error = nullptr);
 
   /// The bound port; 0 before a successful Start.

@@ -195,23 +195,11 @@ std::string JsonQuote(std::string_view s) {
 }
 
 std::string BuildFlagsString() {
-  std::string flags;
-#if defined(TFMAE_OBS_ENABLED)
-  flags += "obs=on";
-#else
-  flags += "obs=off";
-#endif
-#if defined(TFMAE_FAULTS_ENABLED)
-  flags += ",faults=on";
-#else
-  flags += ",faults=off";
-#endif
 #if defined(NDEBUG)
-  flags += ",assertions=off";
+  return "assertions=off";
 #else
-  flags += ",assertions=on";
+  return "assertions=on";
 #endif
-  return flags;
 }
 
 // ---- LedgerEvent ------------------------------------------------------------

@@ -37,11 +37,10 @@
 // per-line CRCs, which cover them); two runs of the same (data, config,
 // seed) produce byte-identical canonical streams at any TFMAE_NUM_THREADS.
 //
-// Gating matches the instrumentation macros: the Ledger class itself is
-// always compiled (tools and tests link it in any build), but the emission
-// sites inside TfmaeDetector::Fit/Score, the streaming loop, and the
-// numeric guard are compiled out unless -DTFMAE_OBS=ON and further gated at
-// runtime on a ledger actually being open — see LedgerActive().
+// Gating matches the instrumentation macros: the emission sites inside
+// TfmaeDetector::Fit/Score, the streaming loop, and the numeric guard are
+// compiled into every build and gated at runtime on a ledger actually
+// being open — see LedgerActive().
 #ifndef TFMAE_OBS_LEDGER_H_
 #define TFMAE_OBS_LEDGER_H_
 
@@ -57,8 +56,8 @@
 
 namespace tfmae::obs {
 
-/// Compile-time switches baked into this binary, as a stable string for the
-/// manifest (e.g. "obs=on,faults=off").
+/// Build configuration baked into this binary, as a stable string for the
+/// manifest ("assertions=on" or "assertions=off").
 std::string BuildFlagsString();
 
 /// JSON string escaping for event text values. Ledger::Event writes field
@@ -203,17 +202,9 @@ class Ledger {
   std::atomic_bool open_{false};
 };
 
-/// Compile-time + runtime gate for the instrumented emission sites: false
-/// unless this build carries instrumentation (-DTFMAE_OBS=ON) AND the
-/// process ledger is open. In a default build the surrounding `if` folds
-/// away — the hot paths carry zero ledger code, matching the macro contract.
-inline bool LedgerActive() {
-#if defined(TFMAE_OBS_ENABLED)
-  return Ledger::Instance().IsOpen();
-#else
-  return false;
-#endif
-}
+/// Runtime gate for the instrumented emission sites: true iff the process
+/// ledger is open.
+inline bool LedgerActive() { return Ledger::Instance().IsOpen(); }
 
 }  // namespace tfmae::obs
 

@@ -1,7 +1,7 @@
 // RAII scoped timers, trace-event capture, and the instrumentation macros.
 //
-// Hot paths are instrumented with the macros defined in obs/obs_macros.h
-// (included at the bottom of this header):
+// Hot paths are instrumented with the macros defined at the bottom of this
+// header:
 //
 //   void Gemm(...) {
 //     TFMAE_TRACE("tensor.gemm");                  // RAII scope timer
@@ -14,18 +14,13 @@
 // active, appends a complete-event record consumable as a chrome://tracing
 // timeline (obs/export.h).
 //
-// Gating (the instrumentation contract, docs/OBSERVABILITY.md):
-//  * Compile time: the macros expand to no-ops unless the tree is built
-//    with -DTFMAE_OBS=ON (which defines TFMAE_OBS_ENABLED). The default
-//    build carries zero observability code on the hot paths.
-//  * Run time: in an observability build, recording is further gated on
-//    Enabled() — initialized from the TFMAE_OBS environment variable
-//    (TFMAE_OBS=1 turns collection on) and settable programmatically. A
-//    runtime-disabled site costs one relaxed atomic load and a branch.
-//
-// The functions in this header (registry access, SetEnabled, exporter
-// support) are always compiled, so tooling and tests can link against them
-// in any build; only the macro call sites vanish.
+// Gating (the instrumentation contract, docs/OBSERVABILITY.md): every site
+// is compiled into every build and records only while Enabled() —
+// initialized from the TFMAE_OBS environment variable (TFMAE_OBS=1 turns
+// collection on) and settable programmatically. A disabled site costs one
+// relaxed atomic load and a branch: each macro tests Enabled() before the
+// function-local static that registers its metric, so not even the static's
+// guard is on the disabled path.
 #ifndef TFMAE_OBS_TRACE_H_
 #define TFMAE_OBS_TRACE_H_
 
@@ -38,16 +33,6 @@
 #include "obs/metrics.h"
 
 namespace tfmae::obs {
-
-/// True iff this build carries the instrumentation macros
-/// (-DTFMAE_OBS=ON).
-constexpr bool CompiledIn() {
-#if defined(TFMAE_OBS_ENABLED)
-  return true;
-#else
-  return false;
-#endif
-}
 
 namespace internal {
 /// Runtime collection switch. Read on every instrumented call; do not
@@ -81,13 +66,14 @@ struct TraceSite {
 /// pointer is valid for the process lifetime.
 TraceSite* GetTraceSite(const char* name);
 
-/// Scope timer for one site. If recording is disabled at construction the
-/// destructor does nothing (the scope is not retroactively recorded when
-/// recording flips on mid-scope).
+/// Scope timer for one site. If recording is disabled at construction (or
+/// `site` is null, as TFMAE_TRACE passes on its disabled path) the destructor
+/// does nothing: the scope is not retroactively recorded when recording
+/// flips on mid-scope.
 class ScopedTrace {
  public:
   explicit ScopedTrace(TraceSite* site) {
-    if (Enabled()) {
+    if (site != nullptr && Enabled()) {
       site_ = site;
       start_ = NowNs();
     }
@@ -154,6 +140,64 @@ std::uint64_t DroppedTraceEvents();
 
 }  // namespace tfmae::obs
 
-#include "obs/obs_macros.h"  // TFMAE_TRACE / TFMAE_COUNTER_ADD / ...
+#define TFMAE_OBS_CONCAT_IMPL_(a, b) a##b
+#define TFMAE_OBS_CONCAT_(a, b) TFMAE_OBS_CONCAT_IMPL_(a, b)
+
+/// Times the rest of the enclosing scope as site `name` (a string literal):
+/// `<name>.time_ns` histogram, `<name>.calls` / `<name>.total_ns` counters,
+/// plus a chrome-trace event while tracing is active.
+#define TFMAE_TRACE(name)                                                    \
+  ::tfmae::obs::ScopedTrace TFMAE_OBS_CONCAT_(tfmae_obs_scope_, __LINE__)(   \
+      ::tfmae::obs::Enabled()                                                \
+          ? [] {                                                             \
+              static ::tfmae::obs::TraceSite* const tfmae_obs_site_ =        \
+                  ::tfmae::obs::GetTraceSite(name);                          \
+              return tfmae_obs_site_;                                        \
+            }()                                                              \
+          : nullptr)
+
+/// Adds `delta` (convertible to uint64) to the counter `name`.
+#define TFMAE_COUNTER_ADD(name, delta)                                       \
+  do {                                                                       \
+    if (::tfmae::obs::Enabled()) {                                           \
+      static const int tfmae_obs_cid_ =                                      \
+          ::tfmae::obs::Registry::Instance().CounterId(name);                \
+      ::tfmae::obs::Registry::Instance().CounterAdd(                         \
+          tfmae_obs_cid_, static_cast<std::uint64_t>(delta));                \
+    }                                                                        \
+  } while (0)
+
+/// Records one sample `value` into the histogram `name`.
+#define TFMAE_HISTOGRAM_RECORD(name, value)                                  \
+  do {                                                                       \
+    if (::tfmae::obs::Enabled()) {                                           \
+      static const int tfmae_obs_hid_ =                                      \
+          ::tfmae::obs::Registry::Instance().HistogramId(name);              \
+      ::tfmae::obs::Registry::Instance().HistogramRecord(                    \
+          tfmae_obs_hid_, static_cast<std::uint64_t>(value));                \
+    }                                                                        \
+  } while (0)
+
+/// Sets the gauge `name` to `value` (last write wins).
+#define TFMAE_GAUGE_SET(name, value)                                         \
+  do {                                                                       \
+    if (::tfmae::obs::Enabled()) {                                           \
+      static const int tfmae_obs_gid_ =                                      \
+          ::tfmae::obs::Registry::Instance().GaugeId(name);                  \
+      ::tfmae::obs::Registry::Instance().GaugeSet(                           \
+          tfmae_obs_gid_, static_cast<std::int64_t>(value));                 \
+    }                                                                        \
+  } while (0)
+
+/// Raises the gauge `name` to `value` if larger (high-watermark).
+#define TFMAE_GAUGE_MAX(name, value)                                         \
+  do {                                                                       \
+    if (::tfmae::obs::Enabled()) {                                           \
+      static const int tfmae_obs_gid_ =                                      \
+          ::tfmae::obs::Registry::Instance().GaugeId(name);                  \
+      ::tfmae::obs::Registry::Instance().GaugeMax(                           \
+          tfmae_obs_gid_, static_cast<std::int64_t>(value));                 \
+    }                                                                        \
+  } while (0)
 
 #endif  // TFMAE_OBS_TRACE_H_

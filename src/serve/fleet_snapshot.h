@@ -18,7 +18,7 @@
 // restored server, re-fed each stream's rows from its recorded
 // total_pushed() on, produces scores bitwise-identical to an uninterrupted
 // run at any thread count — the contract tests/serve_resilience_test.cc and
-// `scripts/check.sh chaos` enforce with a kill -9.
+// the chaos soak of `scripts/check.sh address` enforce with a kill -9.
 #ifndef TFMAE_SERVE_FLEET_SNAPSHOT_H_
 #define TFMAE_SERVE_FLEET_SNAPSHOT_H_
 

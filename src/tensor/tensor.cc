@@ -212,7 +212,7 @@ void Tensor::Backward() const {
   // topo is in post-order: inputs before outputs. Walk outputs-first.
   impl_->EnsureGrad()[0] = 1.0f;
   TFMAE_TRACE("tensor.backward");
-  const bool time_nodes = obs::CompiledIn() && obs::Enabled();
+  const bool time_nodes = obs::Enabled();
   for (std::size_t i = topo.size(); i-- > 0;) {
     TensorImpl* node = topo[i];
     if (node->backward_fn && node->grad) {

@@ -80,7 +80,9 @@ bool ByteReader::Raw(void* out, std::size_t size) {
     ok_ = false;
     return false;
   }
-  std::memcpy(out, data_ + pos_, size);
+  // An empty vector's data() may be null, and memcpy from or to null is
+  // undefined even for zero bytes.
+  if (size > 0) std::memcpy(out, data_ + pos_, size);
   pos_ += size;
   return true;
 }

@@ -1,6 +1,9 @@
 #include "util/fault.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <map>
 #include <mutex>
@@ -24,6 +27,11 @@ struct State {
   std::mutex mu;
   std::map<std::string, Point> points;
 };
+
+// Mirrors !points.empty() (written under State::mu). ShouldInject reads it
+// without the lock, so an unconfigured check costs one relaxed load: no
+// mutex, no std::string key, not even the State singleton's init guard.
+std::atomic<bool> g_configured{false};
 
 State& GetState() {
   static State* state = new State();  // leaked: checked from atexit paths
@@ -87,6 +95,7 @@ bool TryConfigure(const std::string& spec, std::uint64_t seed,
   State& state = GetState();
   std::lock_guard<std::mutex> lock(state.mu);
   state.points = std::move(parsed);
+  g_configured.store(!state.points.empty(), std::memory_order_relaxed);
   return true;
 }
 
@@ -101,7 +110,14 @@ void ConfigureFromEnv() {
   if (spec == nullptr || spec[0] == '\0') return;
   std::uint64_t seed = 1;
   if (const char* seed_env = std::getenv("TFMAE_FAULTS_SEED")) {
-    seed = std::strtoull(seed_env, nullptr, 10);
+    // A mistyped seed must fail like a malformed spec, not run another sweep.
+    char* end = nullptr;
+    errno = 0;
+    seed = std::strtoull(seed_env, &end, 10);
+    TFMAE_CHECK_MSG(std::isdigit(static_cast<unsigned char>(seed_env[0])) &&
+                        *end == '\0' && errno == 0,
+                    std::string("bad TFMAE_FAULTS_SEED '") + seed_env +
+                        "': expected a decimal number");
   }
   Configure(spec, seed);
   Log(LogLevel::kWarning,
@@ -112,9 +128,11 @@ void Clear() {
   State& state = GetState();
   std::lock_guard<std::mutex> lock(state.mu);
   state.points.clear();
+  g_configured.store(false, std::memory_order_relaxed);
 }
 
 bool ShouldInject(const char* point) {
+  if (!g_configured.load(std::memory_order_relaxed)) return false;
   State& state = GetState();
   std::lock_guard<std::mutex> lock(state.mu);
   auto it = state.points.find(point);

@@ -3,10 +3,10 @@
 //
 // Production code marks its recoverable failure sites with
 // `TFMAE_FAULT("point.name")`, which evaluates to true when that point is
-// configured to fire. In a default build (-DTFMAE_FAULTS=OFF) the macro is
-// the literal `false`: every site folds away and the binary carries zero
-// fault code. With -DTFMAE_FAULTS=ON the registry decides, driven entirely
-// by an explicit seed so sweeps are reproducible.
+// configured to fire. Every build compiles the sites in; the registry
+// decides, driven entirely by an explicit seed so sweeps are reproducible.
+// While nothing is configured a site costs a call, one relaxed atomic load
+// and a branch.
 //
 // Spec grammar (TFMAE_FAULTS environment variable or Configure()):
 //
@@ -28,9 +28,10 @@
 // visible in --obs_json output alongside the recovery counters they provoke
 // (util must not depend on obs, hence the pull model).
 //
-// Points are checked from the training loop and serialization paths only
-// (single-threaded call sites); the registry still takes a mutex so stray
-// multi-threaded checks are safe, merely serialized.
+// Points are checked from the training loop, serialization, and the fleet
+// ingest path, which producers may call concurrently. Once a spec is
+// configured the registry takes a mutex per check, so those checks are
+// safe, merely serialized.
 #ifndef TFMAE_UTIL_FAULT_H_
 #define TFMAE_UTIL_FAULT_H_
 
@@ -40,16 +41,6 @@
 #include <vector>
 
 namespace tfmae::fault {
-
-/// True in -DTFMAE_FAULTS=ON builds (the only builds where TFMAE_FAULT
-/// sites consult the registry).
-constexpr bool CompiledIn() {
-#if defined(TFMAE_FAULTS_ENABLED)
-  return true;
-#else
-  return false;
-#endif
-}
 
 /// Replaces the active configuration with `spec` (see grammar above).
 /// An empty spec disables all points. CHECK-fails on a malformed spec —
@@ -64,18 +55,20 @@ bool TryConfigure(const std::string& spec, std::uint64_t seed = 1,
                   std::string* error = nullptr);
 
 /// Configure() from the TFMAE_FAULTS / TFMAE_FAULTS_SEED environment
-/// variables. Never called automatically: binaries opt in (benches and
-/// examples via their flag glue, tests via ScopedFaults), so an exported
-/// TFMAE_FAULTS cannot perturb processes that did not ask for it.
+/// variables. Never called automatically: binaries opt in (benches, examples
+/// and tfmae_serve via their flag glue, tests via ScopedFaults), so an
+/// exported TFMAE_FAULTS cannot perturb processes that did not ask for it.
+/// CHECK-fails on a malformed spec or a seed that is not a whole decimal
+/// number, like Configure().
 void ConfigureFromEnv();
 
 /// Removes every configured point.
 void Clear();
 
 /// Decision function behind TFMAE_FAULT. Returns true when `point` is
-/// configured and its trigger fires for this check. Unconfigured points
-/// return false and cost one mutex acquisition + map lookup (fault builds
-/// are test builds; the default build never calls this).
+/// configured and its trigger fires for this check. While the registry is
+/// empty it returns false after one relaxed atomic load; once any point is
+/// configured, every check takes the mutex and looks `point` up.
 bool ShouldInject(const char* point);
 
 /// Times `point` fired / was checked since its configuration.
@@ -101,10 +94,6 @@ class ScopedFaults {
 
 }  // namespace tfmae::fault
 
-#if defined(TFMAE_FAULTS_ENABLED)
 #define TFMAE_FAULT(point) (::tfmae::fault::ShouldInject(point))
-#else
-#define TFMAE_FAULT(point) (false)
-#endif
 
 #endif  // TFMAE_UTIL_FAULT_H_

@@ -82,9 +82,31 @@ TEST(CheckpointTest, LoadFailsOnMissingPieces) {
   fitted.Fit(data::GenerateBaseSignal(signal));
   const std::string prefix = ::testing::TempDir() + "/tfmae_partial";
   ASSERT_TRUE(fitted.SaveCheckpoint(prefix));
+
+  // A .norm row count far beyond the rows present fails the load instead
+  // of sizing a buffer from it.
+  const std::string huge = ::testing::TempDir() + "/tfmae_huge_norm";
+  ASSERT_TRUE(fitted.SaveCheckpoint(huge));
+  {
+    std::ofstream norm(huge + ".norm", std::ios::trunc);
+    norm << "100000000000000\n0 1\n";
+  }
+  TfmaeDetector huge_loader(SmallConfig());
+  EXPECT_FALSE(huge_loader.LoadCheckpoint(huge));
+  EXPECT_FALSE(huge_loader.fitted());
+  RemoveCheckpoint(huge);
+
   std::remove((prefix + ".weights").c_str());
   TfmaeDetector loader(SmallConfig());
   EXPECT_FALSE(loader.LoadCheckpoint(prefix));
+
+  // A failed load leaves a fitted detector as it was: same weights, same
+  // scores, bitwise.
+  const data::TimeSeries test = data::GenerateBaseSignal(signal);
+  const std::vector<float> before = fitted.Score(test);
+  EXPECT_FALSE(fitted.LoadCheckpoint(prefix));
+  ASSERT_TRUE(fitted.fitted());
+  EXPECT_EQ(fitted.Score(test), before);
   RemoveCheckpoint(prefix);
 }
 

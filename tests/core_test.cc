@@ -3,6 +3,7 @@
 // stop-gradient semantics, ablation variants, scoring, and the detector's
 // end-to-end behaviour on planted anomalies.
 #include <cmath>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -146,6 +147,11 @@ struct AblationCase {
   const char* name;
   void (*apply)(TfmaeConfig*);
 };
+
+// Without this gtest prints the case as a byte dump of its two pointers,
+// which ASLR changes on every run; gtest_discover_tests copies that dump
+// into the ctest name, so each build would register differently named tests.
+void PrintTo(const AblationCase& c, std::ostream* os) { *os << c.name; }
 
 class AblationTest : public ::testing::TestWithParam<AblationCase> {};
 

@@ -1,8 +1,7 @@
 // Tests for the resilience plane's failure paths: the deterministic fault
-// registry itself, the numeric-health guard, and — in -DTFMAE_FAULTS=ON
-// builds — training/serialization/streaming recovery under injected
-// failures, including the seeded sweep driven by scripts/check.sh faults
-// (TFMAE_FAULT_SWEEP_SEED).
+// registry itself, the numeric-health guard, and training/serialization/
+// streaming recovery under injected failures, including the seeded sweep
+// driven by scripts/check.sh undefined (TFMAE_FAULT_SWEEP_SEED).
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
@@ -26,8 +25,7 @@ namespace tfmae {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Fault registry (runs in every build: ShouldInject is always compiled; only
-// the TFMAE_FAULT macro sites are gated).
+// Fault registry.
 
 TEST(FaultRegistryTest, UnconfiguredPointsNeverFire) {
   fault::Clear();
@@ -103,6 +101,36 @@ TEST(FaultRegistryDeathTest, MalformedSpecDies) {
   EXPECT_DEATH(fault::Configure("no_colon_here"), "");
   EXPECT_DEATH(fault::Configure("p:not_a_number"), "");
   EXPECT_DEATH(fault::Configure("p:1.5"), "");
+}
+
+// Every binary with the shared flag glue honours TFMAE_FAULTS, so a
+// mistyped TFMAE_FAULTS_SEED must fail like a malformed spec instead of
+// silently running another sweep. The environment is set inside the death
+// statement, i.e. only in the forked child.
+TEST(FaultRegistryDeathTest, MalformedSeedDies) {
+  const auto configure_with_seed = [](const char* seed) {
+    setenv("TFMAE_FAULTS", "p:0.5", 1);
+    setenv("TFMAE_FAULTS_SEED", seed, 1);
+    fault::ConfigureFromEnv();
+  };
+  for (const char* seed : {"abc", "12x", "", " 7", "-3", "+3",
+                           "99999999999999999999999"}) {
+    EXPECT_DEATH(configure_with_seed(seed), "TFMAE_FAULTS_SEED") << seed;
+  }
+}
+
+TEST(FaultRegistryTest, ConfigureFromEnvAppliesSpecAndSeed) {
+  setenv("TFMAE_FAULTS", "p:0.5", 1);
+  setenv("TFMAE_FAULTS_SEED", "12", 1);
+  fault::ConfigureFromEnv();
+  unsetenv("TFMAE_FAULTS");
+  unsetenv("TFMAE_FAULTS_SEED");
+  std::vector<bool> from_env;
+  for (int i = 0; i < 64; ++i) from_env.push_back(fault::ShouldInject("p"));
+  fault::ScopedFaults direct("p:0.5", 12);
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_EQ(fault::ShouldInject("p"), from_env[i]) << i;
+  }
 }
 
 TEST(FaultRegistryTest, TryConfigureAcceptsTheFullGrammar) {
@@ -221,7 +249,7 @@ TEST(NumericGuardTest, GivesUpAfterMaxConsecutiveSkips) {
 }
 
 // ---------------------------------------------------------------------------
-// Injection through real subsystems (fault builds only).
+// Injection through real subsystems.
 
 core::TfmaeConfig TinyConfig() {
   core::TfmaeConfig config;
@@ -251,15 +279,7 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-#define SKIP_WITHOUT_FAULT_BUILD()                                       \
-  do {                                                                   \
-    if (!fault::CompiledIn()) {                                          \
-      GTEST_SKIP() << "fault injection points require -DTFMAE_FAULTS=ON"; \
-    }                                                                    \
-  } while (0)
-
 TEST(FaultInjectionTest, InjectedNanLossIsSkippedAndTrainingRecovers) {
-  SKIP_WITHOUT_FAULT_BUILD();
   fault::ScopedFaults faults("train.nan_loss:#5");
   core::TfmaeDetector detector(TinyConfig());
   detector.Fit(TinySeries());
@@ -273,7 +293,6 @@ TEST(FaultInjectionTest, InjectedNanLossIsSkippedAndTrainingRecovers) {
 }
 
 TEST(FaultInjectionTest, InjectedCheckpointWriteFailureDoesNotKillTraining) {
-  SKIP_WITHOUT_FAULT_BUILD();
   const std::string dir = FreshDir("tfmae_fault_io");
   fault::ScopedFaults faults("io.checkpoint_write:#1");
   core::FitOptions options;
@@ -290,7 +309,6 @@ TEST(FaultInjectionTest, InjectedCheckpointWriteFailureDoesNotKillTraining) {
 }
 
 TEST(FaultInjectionTest, InjectedInterruptThenResumeIsBitwiseIdentical) {
-  SKIP_WITHOUT_FAULT_BUILD();
   const data::TimeSeries train = TinySeries();
   core::TfmaeDetector reference(TinyConfig());
   reference.Fit(train);
@@ -318,7 +336,6 @@ TEST(FaultInjectionTest, InjectedInterruptThenResumeIsBitwiseIdentical) {
 }
 
 TEST(FaultInjectionTest, InjectedCsvFaultSurfacesLineDiagnostic) {
-  SKIP_WITHOUT_FAULT_BUILD();
   const std::string path = ::testing::TempDir() + "/fault_rows.csv";
   data::TimeSeries series = data::TimeSeries::Zeros(5, 2);
   ASSERT_TRUE(data::SaveCsv(series, path));
@@ -345,7 +362,6 @@ class TailDetector : public core::AnomalyDetector {
 };
 
 TEST(FaultInjectionTest, InjectedStreamCorruptionIsImputedNotFatal) {
-  SKIP_WITHOUT_FAULT_BUILD();
   fault::ScopedFaults faults("streaming.corrupt_value:0.2", 3);
   TailDetector detector;
   core::StreamingOptions options;
@@ -366,11 +382,10 @@ TEST(FaultInjectionTest, InjectedStreamCorruptionIsImputedNotFatal) {
   EXPECT_GT(fault::InjectedCount("streaming.corrupt_value"), 0u);
 }
 
-// The scripts/check.sh faults sweep: TFMAE_FAULT_SWEEP_SEED selects the
+// The scripts/check.sh undefined sweep: TFMAE_FAULT_SWEEP_SEED selects the
 // injection pattern; training plus its recovery machinery must survive
 // every seed without aborting or producing non-finite statistics.
 TEST(FaultInjectionTest, SweepSeedSurvivesRandomizedFaults) {
-  SKIP_WITHOUT_FAULT_BUILD();
   std::uint64_t seed = 1;
   if (const char* env = std::getenv("TFMAE_FAULT_SWEEP_SEED")) {
     seed = std::strtoull(env, nullptr, 10);

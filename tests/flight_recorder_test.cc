@@ -1,7 +1,7 @@
 // Tests for the crash flight recorder (src/obs/flight_recorder): postmortem
 // round trips, ring-wrap retention, the ledger tee, the async-signal-safe
-// dump path, and — in instrumented fault builds — the black box left behind
-// by an injected training interrupt and by a real fatal signal.
+// dump path, and the black box left behind by an injected training
+// interrupt and by a real fatal signal.
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
@@ -161,9 +161,6 @@ TEST_F(FlightRecorderTest, ReArmingClearsTheRing) {
 // Acceptance path: an injected training fault leaves a postmortem naming the
 // fault, with the tail of the run ledger teed into the black box.
 TEST_F(FlightRecorderTest, InjectedTrainFaultLeavesPostmortem) {
-  if (!CompiledIn() || !fault::CompiledIn()) {
-    GTEST_SKIP() << "needs -DTFMAE_OBS=ON and -DTFMAE_FAULTS=ON";
-  }
   const std::string pm_path = TempPath("fault_pm.json");
   const std::string ledger_path = TempPath("fault_run.jsonl");
   std::filesystem::remove(pm_path);

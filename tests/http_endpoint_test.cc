@@ -187,5 +187,17 @@ TEST(HttpEndpointTest, StartFailsOnTakenPortWithError) {
   first.Stop();
 }
 
+TEST(HttpEndpointTest, StartRejectsOutOfRangePorts) {
+  for (const int port : {-1, 65536, 70000}) {
+    HttpEndpoint endpoint;
+    endpoint.Handle("/a", [] { return HttpResponse{}; });
+    std::string error;
+    EXPECT_FALSE(endpoint.Start(port, &error)) << port;
+    EXPECT_NE(error.find("outside"), std::string::npos) << error;
+    EXPECT_FALSE(endpoint.running());
+    EXPECT_EQ(endpoint.port(), 0);
+  }
+}
+
 }  // namespace
 }  // namespace tfmae::obs

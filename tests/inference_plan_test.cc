@@ -3,7 +3,7 @@
 // checkpoint round trip, re-capture on geometry change, the injected-fault
 // eager fallback, zero-allocation steady-state replay, the scrub canary,
 // the single-logical-allocation arena accounting, and the ledger `plan`
-// event (instrumented builds).
+// event.
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -185,9 +185,6 @@ TEST(InferencePlanTest, RecapturesWhenWindowGeometryChanges) {
 // call degrades to eager — identical answers — and the next call captures
 // normally.
 TEST(InferencePlanTest, InjectedCaptureFaultFallsBackToEager) {
-  if (!fault::CompiledIn()) {
-    GTEST_SKIP() << "fault injection requires -DTFMAE_FAULTS=ON";
-  }
   EnvGuard guard;
   const data::TimeSeries train = TinySignal(192, 2, 31);
   const data::TimeSeries test = TinySignal(80, 2, 32);
@@ -302,13 +299,10 @@ TEST(InferencePlanTest, ArenaIsOneLogicalAllocation) {
   EXPECT_EQ(MemoryStats::CurrentBytes(), baseline);
 }
 
-// Instrumented builds emit one `plan` ledger event per capture, carrying the
+// An open ledger receives one `plan` event per capture, carrying the
 // deterministic plan shape; its wall-clock t_capture_ms field is stripped
 // from the canonical stream like every other t_* field.
 TEST(InferencePlanTest, LedgerRecordsPlanEvent) {
-  if (!obs::CompiledIn()) {
-    GTEST_SKIP() << "emission sites require -DTFMAE_OBS=ON";
-  }
   EnvGuard guard;
   const data::TimeSeries train = TinySignal(192, 2, 71);
   const data::TimeSeries test = TinySignal(80, 2, 72);

@@ -1,7 +1,7 @@
 // Tests for the run ledger (src/obs/ledger): CRC-sealed round trips, the
 // crashed-run valid-prefix guarantee, corruption truncation, the canonical
-// (timestamp-free) event stream, and — in instrumented builds — byte-level
-// replay determinism of a full Fit/Score run at 1/2/4 threads.
+// (timestamp-free) event stream, and byte-level replay determinism of a
+// full Fit/Score run at 1/2/4 threads.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -219,11 +219,8 @@ TEST(LedgerTest, CanonicalStreamStripsTimestampsOnly) {
 // The acceptance contract of the telemetry plane: a full Fit + Score run
 // instrumented through the process ledger produces a byte-identical
 // canonical event stream at 1, 2, and 4 threads (DESIGN.md §7 extended to
-// ledger events). Needs the emission sites compiled in.
+// ledger events).
 TEST(LedgerReplayTest, CanonicalStreamIsThreadCountInvariant) {
-  if (!CompiledIn()) {
-    GTEST_SKIP() << "emission sites require -DTFMAE_OBS=ON";
-  }
   data::BaseSignalConfig signal;
   signal.length = 192;
   signal.num_features = 2;

@@ -1,6 +1,6 @@
 // Tests for the observability layer (src/obs): registry semantics, the
 // determinism contract (bitwise-stable dumps at any thread count), the
-// exporters, and the compiled-out macro path.
+// exporters, and the runtime-disabled path of every instrumented site.
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -10,36 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include "core/detector.h"
+#include "data/generator.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "serve/fleet_server.h"
+#include "util/fault.h"
 #include "util/thread_pool.h"
-
-// Materialize the compiled-out macro expansions in this translation unit,
-// regardless of how the tree was built, to prove they are true no-ops:
-// valid in constant evaluation, so they cannot touch the registry, take a
-// lock, or read a clock.
-#define TFMAE_OBS_FORCE_DISABLED 1
-#include "obs/obs_macros.h"
-
-namespace {
-
-constexpr bool DisabledMacrosAreNoOps() {
-  TFMAE_TRACE("obs_test.constexpr.site");
-  TFMAE_COUNTER_ADD("obs_test.constexpr.counter", 42);
-  TFMAE_HISTOGRAM_RECORD("obs_test.constexpr.hist", 7);
-  TFMAE_GAUGE_SET("obs_test.constexpr.gauge", -3);
-  TFMAE_GAUGE_MAX("obs_test.constexpr.gauge", 9);
-  return true;
-}
-static_assert(DisabledMacrosAreNoOps(),
-              "disabled instrumentation macros must be constant-evaluable");
-
-}  // namespace
-
-// Restore the build's real macro definitions for the rest of the file.
-#undef TFMAE_OBS_FORCE_DISABLED
-#include "obs/obs_macros.h"
 
 namespace tfmae::obs {
 namespace {
@@ -218,7 +196,6 @@ TEST(ObsExportTest, JsonDumpHasStableSections) {
   std::ostringstream json;
   DumpJsonTo(json);
   const std::string s = json.str();
-  EXPECT_NE(s.find("\"obs_compiled\""), std::string::npos);
   EXPECT_NE(s.find("\"counters\""), std::string::npos);
   EXPECT_NE(s.find("\"gauges\""), std::string::npos);
   EXPECT_NE(s.find("\"histograms\""), std::string::npos);
@@ -262,12 +239,58 @@ TEST(ObsExportTest, ChromeTraceRoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST(ObsTraceTest, CompiledInMatchesBuildDefinition) {
-#if defined(TFMAE_OBS_ENABLED)
-  EXPECT_TRUE(CompiledIn());
-#else
-  EXPECT_FALSE(CompiledIn());
-#endif
+// Every build compiles the instrumentation in, so the disabled path is a
+// runtime property: with obs::Enabled() false and no fault configured, a
+// Fit, a Score and a FleetServer batch leave the registry, the fault
+// counters and the trace capture exactly as empty as they found them.
+TEST(ObsTraceTest, DisabledSitesRecordNothing) {
+  SetEnabled(false);
+  fault::Clear();
+  ClearTraceEvents();
+  Registry::Instance().Reset();
+
+  data::BaseSignalConfig signal;
+  signal.length = 160;
+  signal.num_features = 2;
+  signal.seed = 5;
+  const data::TimeSeries series = data::GenerateBaseSignal(signal);
+  core::TfmaeConfig config;
+  config.window = 16;
+  config.stride = 16;
+  config.model_dim = 8;
+  config.num_layers = 1;
+  config.num_heads = 2;
+  config.ff_hidden = 16;
+  config.epochs = 1;
+  core::TfmaeDetector detector(config);
+  detector.Fit(series);
+  EXPECT_FALSE(detector.Score(series).empty());
+
+  serve::FleetOptions options;
+  options.streaming.window = config.window;
+  options.streaming.hop = 4;
+  serve::FleetServer server(&detector, options);
+  const std::int64_t stream = server.OpenStream();
+  for (std::int64_t t = 0; t < 2 * config.window; ++t) {
+    const float* row = &series.values[static_cast<std::size_t>(t * 2)];
+    ASSERT_NE(server.Push(stream, std::vector<float>(row, row + 2)),
+              serve::AdmitStatus::kOverloaded);
+  }
+  server.Drain();
+  EXPECT_FALSE(server.TakeResults().empty());
+
+  const MetricsSnapshot snap = Registry::Instance().Snapshot();
+  for (const auto& [name, value] : snap.counters) {
+    EXPECT_EQ(value, 0u) << name;
+  }
+  for (const auto& [name, value] : snap.gauges) {
+    EXPECT_EQ(value, 0) << name;
+  }
+  for (const HistogramSnapshot& h : snap.histograms) {
+    EXPECT_EQ(h.count, 0u) << h.name;
+  }
+  EXPECT_TRUE(fault::AllCounts().empty());
+  EXPECT_TRUE(CollectTraceEvents().empty());
 }
 
 }  // namespace

@@ -538,9 +538,6 @@ TEST(QuantScoringTest, CheckpointRoundTripCarriesTheSpec) {
 // detector, with the fallback counted.
 TEST(QuantScoringTest, InjectedQuantCaptureFaultFallsBackToFp32) {
   EnvGuard guard;
-  if (!fault::CompiledIn()) {
-    GTEST_SKIP() << "fault injection not compiled in (-DTFMAE_FAULTS=ON)";
-  }
   const data::TimeSeries train = TinySignal(192, 2, 71);
   const data::TimeSeries test = TinySignal(80, 2, 72);
   auto faulty = MakeDetector(train, TfmaeDetector::QuantMode::kInt8);

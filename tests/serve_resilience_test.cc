@@ -34,13 +34,6 @@
 #include "util/fault.h"
 #include "util/thread_pool.h"
 
-#define SKIP_WITHOUT_FAULT_BUILD()                                       \
-  do {                                                                   \
-    if (!fault::CompiledIn()) {                                          \
-      GTEST_SKIP() << "fault injection points require -DTFMAE_FAULTS=ON"; \
-    }                                                                    \
-  } while (0)
-
 namespace tfmae::serve {
 namespace {
 
@@ -669,7 +662,6 @@ TEST(FleetDrainTest, DrainLatchesAgainstConcurrentProducers) {
 // ---- Fault-gated: serve.push / serve.score / serve.snapshot_write --------
 
 TEST(FleetFaultTest, InjectedPushFaultIsRetryable) {
-  SKIP_WITHOUT_FAULT_BUILD();
   ThreadPool::Instance().SetNumThreads(1);
   fault::ScopedFaults faults("serve.push:#2");
   FleetOptions options;
@@ -688,7 +680,6 @@ TEST(FleetFaultTest, InjectedPushFaultIsRetryable) {
 }
 
 TEST(FleetFaultTest, SnapshotWriteFaultLeavesPreviousSnapshotUsable) {
-  SKIP_WITHOUT_FAULT_BUILD();
   ThreadPool::Instance().SetNumThreads(1);
   const std::string dir = FreshDir("tfmae_resilience_snapfault");
   FleetOptions options;
@@ -720,7 +711,6 @@ TEST(FleetFaultTest, SnapshotWriteFaultLeavesPreviousSnapshotUsable) {
 }
 
 TEST(FleetFaultTest, WatchdogFlagsAStalledBatch) {
-  SKIP_WITHOUT_FAULT_BUILD();
   ThreadPool::Instance().SetNumThreads(1);
   FleetOptions options;
   options.streaming = HopOneStreaming();
@@ -741,7 +731,6 @@ TEST(FleetFaultTest, WatchdogFlagsAStalledBatch) {
 }
 
 TEST(FleetFaultTest, BlockDeadlineExpiresWhileScoringIsStalled) {
-  SKIP_WITHOUT_FAULT_BUILD();
   ThreadPool::Instance().SetNumThreads(1);
   FleetOptions options;
   options.streaming = HopOneStreaming();

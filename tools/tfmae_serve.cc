@@ -80,6 +80,7 @@
 // the row is dropped; every retry, nap, and drop is counted in the stats
 // block ("backoff" line) instead of the old unbounded busy-spin.
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -205,8 +206,6 @@ int main(int argc, char** argv) {
   // Live observability flags. --metrics_port is present/absent (0 is a valid
   // value: bind an ephemeral port and print it).
   const char* metrics_port_flag = FlagValue(argc, argv, "--metrics_port=");
-  const std::int64_t metrics_port =
-      metrics_port_flag != nullptr ? std::atoll(metrics_port_flag) : 0;
   const std::int64_t stats_every = IntFlag(argc, argv, "--stats_every=", 0);
   const std::int64_t trace_sample = IntFlag(argc, argv, "--trace_sample=", 0);
   const std::int64_t slo_latency_ms =
@@ -224,6 +223,21 @@ int main(int argc, char** argv) {
       std::strcmp(quant_flag, "off") != 0) {
     std::fprintf(stderr, "tfmae_serve: --quant must be int8 or off\n");
     return 1;
+  }
+  // A whole decimal number; HttpEndpoint::Start rejects one outside
+  // [0, 65535].
+  int metrics_port = 0;
+  if (metrics_port_flag != nullptr) {
+    const char* end = metrics_port_flag + std::strlen(metrics_port_flag);
+    const auto [ptr, ec] =
+        std::from_chars(metrics_port_flag, end, metrics_port);
+    if (ec != std::errc() || ptr != end) {
+      std::fprintf(stderr,
+                   "tfmae_serve: --metrics_port must be a port number "
+                   "(got %s)\n",
+                   metrics_port_flag);
+      return 1;
+    }
   }
   tfmae::serve::ShedPolicy shed_policy = tfmae::serve::ShedPolicy::kRejectNew;
   if (shed_policy_name != nullptr && shed_policy_name[0] != '\0') {
@@ -389,7 +403,7 @@ int main(int argc, char** argv) {
       return response;
     });
     std::string endpoint_error;
-    if (!endpoint.Start(static_cast<int>(metrics_port), &endpoint_error)) {
+    if (!endpoint.Start(metrics_port, &endpoint_error)) {
       std::fprintf(stderr, "tfmae_serve: metrics endpoint failed: %s\n",
                    endpoint_error.c_str());
       return 1;
