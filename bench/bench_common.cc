@@ -4,17 +4,6 @@
 
 namespace tfmae::bench {
 
-std::optional<std::string> FlagValue(int argc, char** argv,
-                                     std::string_view flag) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg.rfind(flag, 0) == 0) {
-      return std::string(arg.substr(flag.size()));
-    }
-  }
-  return std::nullopt;
-}
-
 std::string ResultPath(const std::string& file_name) {
   ::mkdir("bench_results", 0755);  // best effort; ignore EEXIST
   return "bench_results/" + file_name;

@@ -4,6 +4,11 @@
 // simulated dataset profiles. Results print as an aligned console table and
 // are also written as CSV into ./bench_results/ for diffing across runs.
 //
+// The per-dataset configuration helpers are inline, so code outside bench/
+// can use them header-only without linking tfmae_bench_common:
+// benchmark/tfmae_bench.cc (fit_msl) and the int8 F1 parity test in
+// tests/quant_test.cc.
+//
 // Environment knobs:
 //   TFMAE_BENCH_SCALE  — multiplies every dataset split length (default 1).
 //                        Use 0.5 for a quick pass, 2 for a longer one.
@@ -11,21 +16,12 @@
 #define TFMAE_BENCH_BENCH_COMMON_H_
 
 #include <cstdlib>
-#include <optional>
 #include <string>
-#include <string_view>
 
 #include "core/config.h"
 #include "data/profiles.h"
 
 namespace tfmae::bench {
-
-/// Value of the first `--<flag>=VALUE` argument, or nullopt when absent.
-/// `flag` includes the dashes and trailing '=' (e.g. "--obs_json=").
-/// Shared by every bench mode selector so the hand-rolled prefix matching
-/// lives in exactly one place.
-std::optional<std::string> FlagValue(int argc, char** argv,
-                                     std::string_view flag);
 
 /// Dataset scale from TFMAE_BENCH_SCALE (default 1.0).
 inline double DatasetScale() {

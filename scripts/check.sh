@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Build and run the test suite, optionally under a sanitizer, plus the
-# soaks, smokes and bench sweeps that need the same binaries.
+# soaks and smokes that need the same binaries, or the benchmarks.
 #
 # Usage:
 #   scripts/check.sh [plain|address|thread|undefined|bench] [extra ctest args...]
@@ -10,7 +10,7 @@
 #   scripts/check.sh thread          # ThreadSanitizer, full suite twice
 #   scripts/check.sh thread -R Gemm  # tsan build, GEMM/thread-pool tests only
 #   scripts/check.sh address -j4     # ASan passes in parallel, then soaks
-#   scripts/check.sh bench           # bench sweeps gated against baselines
+#   scripts/check.sh bench           # benchmark smoke + complexity suite
 #
 # Every build compiles the observability sites and the fault-injection
 # points in; TFMAE_OBS=1 and a configured fault spec switch them on at run
@@ -42,15 +42,13 @@
 #  * live smoke (docs/OBSERVABILITY.md, "Live endpoints & SLOs"):
 #    scripts/live_smoke.py scrapes /metrics of a 256-stream tfmae_serve
 #    mid-load, checks the exposition format and the stage-sum/end-to-end
-#    reconciliation, and asserts /healthz flips to 503 during drain;
-#  * quant parity smoke (DESIGN.md §12): `bench_micro --quant_json
-#    --quant_profiles=3` fails if int8 F1 drifts past tolerance or int8
-#    scores diverge across thread counts.
+#    reconciliation, and asserts /healthz flips to 503 during drain.
 #
 # thread: the full suite under ThreadSanitizer twice — as is, and with
 # TFMAE_OBS=1 so every instrumented site records while TSan watches the
 # registry's lock-free shard path, plan replay's parallel-for chunks, and
-# the fleet server's lock-free stream publication and lane claiming.
+# the fleet server's lock-free stream publication and lane claiming. Both
+# passes always run; the mode fails if either does.
 #
 # undefined: the resilience soak from docs/RESILIENCE.md. The full suite
 # runs under UndefinedBehaviorSanitizer (injected failures walk error paths
@@ -60,12 +58,13 @@
 # NaN losses, and interrupts; training and recovery must survive every
 # seed.
 #
-# bench: the performance gate from docs/OBSERVABILITY.md ("Benchmark
-# gating"): the bench_micro JSON sweeps in a Release build, failing if any
-# tracked relative metric (speedup ratios, allocation reduction,
-# bitwise-determinism booleans, the 5-profile int8 F1 parity) regresses
-# past the tolerance in scripts/bench_gate.py, plus the gate's smoke run of
-# the committed baselines against themselves.
+# bench: the two benchmarks. First `benchmark/run.py --smoke`, a short run
+# of every end-to-end workload that fails on any of the benchmark's
+# correctness gates (benchmark/README.md; it builds build-bench/ itself).
+# Then bench_micro, the google-benchmark suite behind the paper's
+# complexity analysis (Section IV-E), from this mode's Release build. No
+# timing is gated here: performance claims come from paired end-to-end runs
+# of benchmark/run.py.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -111,15 +110,17 @@ case "$MODE" in
     echo "== live smoke: 256 streams, mid-load scrape, /healthz 503 on drain =="
     TFMAE_OBS=1 python3 scripts/live_smoke.py \
       --serve-bin "$BUILD_DIR/tools/tfmae_serve"
-    echo "== quant parity smoke: 3 dataset profiles, int8 vs fp32 F1 =="
-    "$BUILD_DIR/bench/bench_micro" \
-      --quant_json="$BUILD_DIR/quant_smoke.json" --quant_profiles=3
     ;;
   thread)
+    # The second pass runs even when the first fails, so one failing test
+    # cannot hide the recording-on paths from TSan; either failure fails
+    # the mode.
+    status=0
     echo "== full suite: TSan =="
-    suite "$@"
+    suite "$@" || status=$?
     echo "== full suite: TSan, TFMAE_OBS=1 =="
-    TFMAE_OBS=1 suite "$@"
+    TFMAE_OBS=1 suite "$@" || status=$?
+    exit "$status"
     ;;
   undefined)
     echo "== full suite: UBSan, no fault configured =="
@@ -131,16 +132,9 @@ case "$MODE" in
     done
     ;;
   bench)
-    OUT_DIR="$BUILD_DIR/bench_sweeps"
-    mkdir -p "$OUT_DIR"
-    for sweep in tensor_backend memory_plane resilience inference_plan \
-                 serving quant; do
-      echo "== bench sweep: $sweep =="
-      "$BUILD_DIR/bench/bench_micro" "--${sweep}_json=$OUT_DIR/$sweep.json"
-    done
-    echo "== bench gate: sweeps vs bench_results/baselines =="
-    python3 scripts/bench_gate.py --current-dir "$OUT_DIR"
-    echo "== bench gate smoke: committed baselines vs themselves =="
-    python3 scripts/bench_gate.py --smoke
+    echo "== end-to-end benchmark smoke: every correctness gate =="
+    python3 benchmark/run.py --smoke
+    echo "== complexity suite (Section IV-E): bench_micro =="
+    "$BUILD_DIR/bench/bench_micro"
     ;;
 esac

@@ -288,10 +288,13 @@ void RunBatchedMatMul(const ReplayOp& op) {
   gemm::BatchedGemm(op.in0, op.in1, op.out, op.batch, op.m, op.k, op.n);
 }
 
+// gemm::BatchedGemmBt's two steps, packing into the op's arena scratch
+// instead of a pool buffer, so replay never calls the pool.
 void RunBatchedMatMulBt(const ReplayOp& op) {
   std::memset(op.out, 0,
               static_cast<std::size_t>(op.batch * op.m * op.n) * sizeof(float));
-  gemm::BatchedGemmBt(op.in0, op.in1, op.out, op.batch, op.m, op.k, op.n);
+  gemm::BatchedTransposePack(op.in1, op.batch, op.n, op.k, op.scratch);
+  gemm::BatchedGemm(op.in0, op.scratch, op.out, op.batch, op.m, op.k, op.n);
 }
 
 void RunPermute3(const ReplayOp& op) {
@@ -466,6 +469,10 @@ std::pair<std::int64_t, std::int64_t> ScratchFloats(const cap::CapturedOp& op) {
     const std::int64_t per_chunk =
         op.kind == cap::OpKind::kSymKlPerRow ? 2 * cols : cols;
     return {chunks * per_chunk, grain};
+  }
+  if (op.kind == cap::OpKind::kBatchedMatMulBt) {
+    // The packed B operand: batch x [k, n].
+    return {op.attrs[0] * op.attrs[2] * op.attrs[3], 1};
   }
   return {0, 1};
 }
@@ -1094,6 +1101,7 @@ std::unique_ptr<InferencePlan> InferencePlan::Capture(
         rop.m = op.attrs[1];
         rop.k = op.attrs[2];
         rop.n = op.attrs[3];
+        if (scratch_offset[j] >= 0) rop.scratch = arena + scratch_offset[j];
         break;
       case cap::OpKind::kReshape:
         TFMAE_CHECK_MSG(false, "plan: reshape survived elision");

@@ -4,10 +4,11 @@
 // static graph — only the input VALUES and the dynamic mask index vectors
 // change from window to window. InferencePlan exploits that: one capture
 // pass records the scoring graph of TfmaeModel::ScoreWindow as a flat op
-// list (tensor/capture.h), a memory planner assigns every intermediate a
-// fixed offset in one pool-backed arena via lifetime analysis, and a replay
-// executor runs the plan as a tight loop over pre-resolved kernel pointers
-// — zero shared_ptr churn, zero autograd construction, zero dispatch
+// list (tensor/capture.h), a memory planner assigns every intermediate and
+// every op workspace (softmax rows, transposed-GEMM packs) a fixed offset in
+// one pool-backed arena via lifetime analysis, and a replay executor runs
+// the plan as a tight loop over pre-resolved kernel pointers — zero pool
+// calls, zero shared_ptr churn, zero autograd construction, zero dispatch
 // branching.
 //
 // Determinism contract: replay is bitwise-identical to the eager
@@ -31,7 +32,7 @@
 namespace tfmae::core {
 
 /// Build- and replay-time accounting, surfaced through the detector's
-/// ledger `plan` event and bench_micro --inference_plan_json.
+/// ledger `plan` event.
 struct InferencePlanStats {
   std::int64_t captured_ops = 0;  ///< ops recorded by the capture pass
   std::int64_t ops = 0;           ///< ops in the final plan (after fusion)

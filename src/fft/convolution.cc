@@ -19,8 +19,10 @@ std::vector<double> FftConvolve(const std::vector<double>& a,
   for (std::size_t i = 0; i < b.size(); ++i) fb[i] = Complex(b[i], 0);
   FftPow2(&fa, /*inverse=*/false);
   FftPow2(&fb, /*inverse=*/false);
+  // fb first: MulFma fuses the products of fa's real part.
   for (std::int64_t i = 0; i < padded; ++i) {
-    fa[static_cast<std::size_t>(i)] *= fb[static_cast<std::size_t>(i)];
+    fa[static_cast<std::size_t>(i)] = MulFma(fb[static_cast<std::size_t>(i)],
+                                             fa[static_cast<std::size_t>(i)]);
   }
   FftPow2(&fa, /*inverse=*/true);
   std::vector<double> out(static_cast<std::size_t>(out_len));

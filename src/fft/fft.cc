@@ -41,8 +41,8 @@ std::vector<Complex> Bluestein(const std::vector<Complex>& input,
   std::vector<Complex> a(static_cast<std::size_t>(m), Complex(0, 0));
   std::vector<Complex> b(static_cast<std::size_t>(m), Complex(0, 0));
   for (std::int64_t t = 0; t < n; ++t) {
-    a[static_cast<std::size_t>(t)] =
-        input[static_cast<std::size_t>(t)] * chirp[static_cast<std::size_t>(t)];
+    a[static_cast<std::size_t>(t)] = MulFma(input[static_cast<std::size_t>(t)],
+                                            chirp[static_cast<std::size_t>(t)]);
   }
   b[0] = std::conj(chirp[0]);
   for (std::int64_t t = 1; t < n; ++t) {
@@ -54,14 +54,15 @@ std::vector<Complex> Bluestein(const std::vector<Complex>& input,
   FftPow2(&a, /*inverse=*/false);
   FftPow2(&b, /*inverse=*/false);
   for (std::int64_t i = 0; i < m; ++i) {
-    a[static_cast<std::size_t>(i)] *= b[static_cast<std::size_t>(i)];
+    a[static_cast<std::size_t>(i)] = MulFma(a[static_cast<std::size_t>(i)],
+                                            b[static_cast<std::size_t>(i)]);
   }
   FftPow2(&a, /*inverse=*/true);
 
   std::vector<Complex> output(static_cast<std::size_t>(n));
   for (std::int64_t k = 0; k < n; ++k) {
-    output[static_cast<std::size_t>(k)] =
-        a[static_cast<std::size_t>(k)] * chirp[static_cast<std::size_t>(k)];
+    output[static_cast<std::size_t>(k)] = MulFma(
+        a[static_cast<std::size_t>(k)], chirp[static_cast<std::size_t>(k)]);
   }
   return output;
 }

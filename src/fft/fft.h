@@ -15,6 +15,7 @@
 #ifndef TFMAE_FFT_FFT_H_
 #define TFMAE_FFT_FFT_H_
 
+#include <cmath>
 #include <complex>
 #include <cstdint>
 #include <vector>
@@ -28,6 +29,17 @@ bool IsPowerOfTwo(std::int64_t n);
 
 /// Smallest power of two >= n.
 std::int64_t NextPowerOfTwo(std::int64_t n);
+
+/// x * y with the two products of y's real part fused into the add (one
+/// rounding each, std::fma) and the other two rounded first. Bluestein's
+/// pointwise products and the convolution's spectrum product use this
+/// form; writing it out makes every build and host compute the same bits,
+/// where a plain std::complex product is fused or not at the vectorizer's
+/// whim (src/fft/CMakeLists.txt).
+inline Complex MulFma(const Complex& x, const Complex& y) {
+  return {std::fma(x.real(), y.real(), -(x.imag() * y.imag())),
+          std::fma(x.imag(), y.real(), x.real() * y.imag())};
+}
 
 /// In-place forward FFT. data.size() must be a power of two.
 void FftPow2(std::vector<Complex>* data, bool inverse);

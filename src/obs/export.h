@@ -5,8 +5,7 @@
 //                   percentiles, a "top sites by total time" table, and a
 //                   "top autograd ops by self time" table.
 //  * DumpJson     — machine-readable snapshot, one JSON object, stable key
-//                   order (metrics sorted by name), sibling format to the
-//                   BENCH_*.json benchmark trajectory files.
+//                   order (metrics sorted by name).
 //  * WriteChromeTrace — chrome://tracing / Perfetto "traceEvents" JSON from
 //                   the captured TFMAE_TRACE scopes.
 //

@@ -161,11 +161,11 @@ void TransposePack(const float* src, std::int64_t src_rows,
   }
 }
 
-// Packs the transposed operand of every batch into `scratch`
-// ([batch, src_cols, src_rows]), parallel across batches.
+}  // namespace
+
 void BatchedTransposePack(const float* src, std::int64_t batch,
                           std::int64_t src_rows, std::int64_t src_cols,
-                          float* scratch) {
+                          float* dst) {
   const std::int64_t per_batch = src_rows * src_cols;
   const std::int64_t grain =
       std::max<std::int64_t>(1, (1 << 18) / std::max<std::int64_t>(
@@ -173,12 +173,10 @@ void BatchedTransposePack(const float* src, std::int64_t batch,
   ParallelFor(0, batch, grain, [=](std::int64_t b0, std::int64_t b1) {
     for (std::int64_t bi = b0; bi < b1; ++bi) {
       TransposePack(src + bi * per_batch, src_rows, src_cols,
-                    scratch + bi * per_batch);
+                    dst + bi * per_batch);
     }
   });
 }
-
-}  // namespace
 
 void BatchedGemm(const float* a, const float* b, float* c, std::int64_t batch,
                  std::int64_t m, std::int64_t k, std::int64_t n) {

@@ -36,6 +36,15 @@ void BatchedGemm(const float* a, const float* b, float* c, std::int64_t batch,
 void GemmBt(const float* a, const float* b_t, float* c, std::int64_t m,
             std::int64_t k, std::int64_t n);
 
+/// dst[bi] = src[bi]^T for bi in [0, batch): src is [batch, src_rows,
+/// src_cols], dst is [batch, src_cols, src_rows] and fully overwritten.
+/// Parallel across batches. BatchedGemmBt is this pack into pool scratch
+/// followed by BatchedGemm; a caller that owns a buffer of batch*N*K floats
+/// can run the same two steps without touching the pool.
+void BatchedTransposePack(const float* src, std::int64_t batch,
+                          std::int64_t src_rows, std::int64_t src_cols,
+                          float* dst);
+
 /// Batched GemmBt: A [batch,M,K], B [batch,N,K], C [batch,M,N].
 void BatchedGemmBt(const float* a, const float* b_t, float* c,
                    std::int64_t batch, std::int64_t m, std::int64_t k,
@@ -51,9 +60,8 @@ void BatchedGemmAtB(const float* a, const float* g, float* c,
                     std::int64_t n);
 
 /// The original single-threaded i-k-j kernel this backend replaced
-/// (including its zero-skip branch). Frozen as the baseline reference for
-/// bench_micro's speedup tracking and for correctness tests; not used on
-/// any compute path.
+/// (including its zero-skip branch). Frozen as the reference the GEMM
+/// correctness tests compare against; not used on any compute path.
 void GemmNaiveSeed(const float* a, const float* b, float* c, std::int64_t m,
                    std::int64_t k, std::int64_t n);
 

@@ -173,22 +173,6 @@ PoolStats Stats() {
   return s;
 }
 
-void ResetPeak() {
-  Pool& pool = Instance();
-  pool.peak_outstanding_bytes.store(
-      pool.outstanding_bytes.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-}
-
-void ResetCounters() {
-  Pool& pool = Instance();
-  pool.hits.store(0, std::memory_order_relaxed);
-  pool.misses.store(0, std::memory_order_relaxed);
-  pool.unpooled.store(0, std::memory_order_relaxed);
-  pool.releases.store(0, std::memory_order_relaxed);
-  ResetPeak();
-}
-
 Scratch::Scratch(std::int64_t numel, bool zero_fill)
     : buffer_(Acquire(numel)), numel_(numel) {
   if (zero_fill) std::fill(buffer_.get(), buffer_.get() + numel, 0.0f);

@@ -96,14 +96,6 @@ void Trim();
 /// Snapshot of the physical accounting.
 PoolStats Stats();
 
-/// Resets peak_outstanding_bytes to the current outstanding level.
-void ResetPeak();
-
-/// Zeroes the monotone counters (hits, misses, unpooled, releases) and
-/// resets the peak like ResetPeak(). Benchmark sweeps call this per row so
-/// one row's churn cannot bleed into the next row's deltas.
-void ResetCounters();
-
 /// RAII scratch buffer for operator internals (backward partials, per-chunk
 /// workspaces). Replaces `std::vector<float>` on hot paths: the backing
 /// block comes from the pool and, unless `zero_fill` is set, skips the

@@ -305,7 +305,7 @@ void QuantLinearScalar(const std::uint8_t* a, const std::int8_t* packed_b,
                        std::int64_t n);
 
 /// Which SIMD path QuantLinear dispatches to ("avx512vnni", "avx2",
-/// "scalar") — surfaced in bench sweeps and the quant ledger event.
+/// "scalar") — surfaced in the quant ledger event.
 const char* QuantGemmIsa();
 
 /// Runs one named implementation ("scalar", "avx2", "avx512vnni") with the

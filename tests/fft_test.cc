@@ -1,6 +1,7 @@
 // Tests for the FFT library: agreement with the reference DFT, inverse
 // round-trips across lengths (including non-powers-of-two via Bluestein),
-// convolution, and the moving-sum primitives behind Eq. (5).
+// convolution, the moving-sum primitives behind Eq. (5), and bit
+// fingerprints that every build must reproduce.
 #include "fft/fft.h"
 
 #include <cmath>
@@ -8,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "fft/convolution.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace tfmae::fft {
@@ -126,6 +128,31 @@ TEST(FftTest, RealSpectrumIsConjugateSymmetric) {
     EXPECT_NEAR(spectrum[k].real(), conj.real(), 1e-8);
     EXPECT_NEAR(spectrum[k].imag(), conj.imag(), 1e-8);
   }
+}
+
+// Every score downstream of masking depends on the spectra's exact bits, so
+// a sanitizer build must compute the bits the Release build computes. The
+// CRC-32s below were recorded from a Release build linked against glibc;
+// they change when a compiler fuses a product the source does not
+// (src/fft/CMakeLists.txt), or when libm's cos/sin round differently.
+// Inputs are small multiples of 1/4, exact in double.
+TEST(FftTest, BitsMatchFingerprintsInEveryBuild) {
+  const auto crc = [](const auto& v) {
+    return util::Crc32(v.data(), v.size() * sizeof(v[0]));
+  };
+  std::vector<Complex> x50(50);
+  for (int t = 0; t < 50; ++t) {
+    x50[t] = Complex(0.25 * ((t * 7) % 13 - 6), 0.25 * ((t * 5) % 11 - 5));
+  }
+  const std::vector<Complex> x32(x50.begin(), x50.begin() + 32);
+  std::vector<double> series(50);
+  for (int t = 0; t < 50; ++t) series[t] = 0.5 * ((t * 3) % 17 - 8);
+
+  EXPECT_EQ(crc(Fft(x50)), 0xd1daafb0u);  // Bluestein
+  EXPECT_EQ(crc(Ifft(x50)), 0x62fcbd7du);
+  EXPECT_EQ(crc(Fft(x32)), 0xdec81590u);  // radix-2
+  EXPECT_EQ(crc(Ifft(x32)), 0x138e5fc8u);
+  EXPECT_EQ(crc(MovingSumFft(series, 10)), 0x0dff19f2u);
 }
 
 TEST(ConvolutionTest, FftMatchesNaive) {

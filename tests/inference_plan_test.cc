@@ -204,7 +204,8 @@ TEST(InferencePlanTest, InjectedCaptureFaultFallsBackToEager) {
 }
 
 // Steady-state replay performs zero tensor allocations: no MemoryStats
-// alloc calls, no pool heap traffic.
+// alloc calls, no heap traffic, and no pool acquisitions at all, so the
+// contract holds with the pool on and under TFMAE_POOL=0 alike.
 TEST(InferencePlanTest, SteadyStateReplayAllocatesNothing) {
   EnvGuard guard;
   const data::TimeSeries train = TinySignal(192, 2, 41);
@@ -228,11 +229,17 @@ TEST(InferencePlanTest, SteadyStateReplayAllocatesNothing) {
 
   std::vector<float> out;
   plan->Score(window, &out);  // warm-up: resizes `out` once
+  const auto acquisitions = [] {
+    const pool::PoolStats stats = pool::Stats();
+    return stats.hits + stats.misses + stats.unpooled;
+  };
   const std::int64_t allocs_before = MemoryStats::AllocCalls();
   const std::int64_t heap_before = pool::Stats().HeapAllocs();
+  const std::int64_t acquired_before = acquisitions();
   for (int i = 0; i < 4; ++i) plan->Score(window, &out);
   EXPECT_EQ(MemoryStats::AllocCalls() - allocs_before, 0);
   EXPECT_EQ(pool::Stats().HeapAllocs() - heap_before, 0);
+  EXPECT_EQ(acquisitions() - acquired_before, 0);
   ExpectBitwiseEqual(out, eager_scores, "steady-state replay");
 }
 

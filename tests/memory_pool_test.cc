@@ -1,8 +1,8 @@
 // Memory-plane tests: pool size classes and recycling, refcount-aware
 // reclamation under Tensor::Detach aliasing, inference-mode graph/grad
-// retention, and the determinism contract — pooled, unpooled and
-// scrub-canary training runs must produce bitwise-identical losses at every
-// thread count.
+// retention, the determinism contract — pooled, unpooled and scrub-canary
+// training runs must produce bitwise-identical losses at every thread
+// count — and zero heap allocations per pooled steady-state training step.
 #include <cstring>
 #include <vector>
 
@@ -116,8 +116,12 @@ TEST(PoolRetentionTest, NoGradScoringBuildsNoGraphAndNoGradBuffers) {
 
 // Runs a short TransformerLayer + Adam training loop and returns the per-step
 // loss values. Identical seeds must give bitwise-identical sequences no
-// matter how the memory plane is configured.
-std::vector<float> TrainLosses(std::uint64_t seed, int steps) {
+// matter how the memory plane is configured. When `heap_allocs` is given it
+// receives each step's physical heap allocations (pool misses plus unpooled
+// acquisitions).
+std::vector<float> TrainLosses(std::uint64_t seed, int steps,
+                               std::vector<std::int64_t>* heap_allocs =
+                                   nullptr) {
   Rng rng(seed);
   nn::TransformerLayer layer(/*model_dim=*/32, /*num_heads=*/4,
                              /*ff_hidden_dim=*/64, &rng);
@@ -130,12 +134,16 @@ std::vector<float> TrainLosses(std::uint64_t seed, int steps) {
   std::vector<float> losses;
   losses.reserve(static_cast<std::size_t>(steps));
   for (int i = 0; i < steps; ++i) {
+    const std::int64_t heap_before = pool::Stats().HeapAllocs();
     Tensor out = layer.Forward(x);
     Tensor loss = ops::MseLoss(out, target);
     adam.ZeroGrad();
     loss.Backward();
     adam.Step();
     losses.push_back(loss.item());
+    if (heap_allocs != nullptr) {
+      heap_allocs->push_back(pool::Stats().HeapAllocs() - heap_before);
+    }
   }
   return losses;
 }
@@ -146,19 +154,30 @@ void ExpectBitwiseEqual(const std::vector<float>& a,
   EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
 }
 
+// Also the memory plane's allocation verdict: once two warm-up steps have
+// filled the free lists, a pooled step makes no heap allocation at all,
+// while the same step unpooled makes one per buffer.
 TEST(PoolDeterminismTest, PooledMatchesUnpooledBitwiseAcrossSeedsAndThreads) {
   PoolConfigGuard guard;
   const int kSteps = 4;
+  const int kWarmupSteps = 2;
   for (std::uint64_t seed : {std::uint64_t{7}, std::uint64_t{21}}) {
     for (int threads : {1, 2, 4}) {
       ThreadPool::Instance().SetNumThreads(threads);
+      std::vector<std::int64_t> pooled_heap;
+      std::vector<std::int64_t> unpooled_heap;
       pool::SetEnabled(true);
-      const std::vector<float> pooled = TrainLosses(seed, kSteps);
+      const std::vector<float> pooled = TrainLosses(seed, kSteps, &pooled_heap);
       pool::SetEnabled(false);
-      const std::vector<float> unpooled = TrainLosses(seed, kSteps);
+      const std::vector<float> unpooled =
+          TrainLosses(seed, kSteps, &unpooled_heap);
       SCOPED_TRACE(::testing::Message()
                    << "seed=" << seed << " threads=" << threads);
       ExpectBitwiseEqual(pooled, unpooled);
+      for (int step = kWarmupSteps; step < kSteps; ++step) {
+        EXPECT_EQ(pooled_heap[step], 0) << "pooled step " << step;
+        EXPECT_GT(unpooled_heap[step], 0) << "unpooled step " << step;
+      }
     }
   }
 }

@@ -2,28 +2,44 @@
 // across ISA paths and thread counts, round-half-away quantization,
 // calibration edge cases (constant channels, saturating outliers,
 // feature-count mismatch refusal), QuantSpec container round trips with
-// corrupt-section rejection, the injected-fault fp32 fallback, and
-// end-to-end int8-vs-fp32 score agreement.
+// corrupt-section rejection, the injected-fault fp32 fallback, end-to-end
+// int8-vs-fp32 score agreement, and int8-vs-fp32 F1 parity on every main
+// dataset profile.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bench/bench_common.h"
 #include "core/detector.h"
 #include "core/inference_plan.h"
 #include "core/quant.h"
 #include "data/generator.h"
+#include "data/profiles.h"
+#include "eval/detection.h"
 #include "obs/ledger.h"
 #include "tensor/quant_kernels.h"
 #include "util/fault.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+
+namespace tfmae::data {
+
+// gtest_discover_tests copies the printed parameter into each ctest name;
+// without this a dataset prints as a byte dump of the enum.
+static void PrintTo(BenchmarkDataset dataset, std::ostream* os) {
+  *os << DatasetName(dataset);
+}
+
+}  // namespace tfmae::data
 
 namespace tfmae::core {
 namespace {
@@ -554,6 +570,58 @@ TEST(QuantScoringTest, InjectedQuantCaptureFaultFallsBackToFp32) {
   ASSERT_NE(faulty->inference_plan(), nullptr);
   EXPECT_FALSE(faulty->inference_plan()->stats().quantized);
 }
+
+// ---- Detection parity ------------------------------------------------------
+
+// Int8 scoring must keep the paper's detection quality: on every main
+// dataset profile, point-adjusted F1 with int8 scoring stays within
+// kF1Tolerance of F1 with fp32 scoring of the same fitted weights, with no
+// fallback to fp32. The profiles run at scale 1.0: on a fractional split a
+// single borderline point crossing the threshold flips a whole anomaly
+// segment, which measures sample size rather than kernel fidelity.
+class QuantParityTest
+    : public ::testing::TestWithParam<data::BenchmarkDataset> {};
+
+TEST_P(QuantParityTest, Int8F1WithinToleranceOfFp32) {
+  // Eight epochs is the shortest fit at which every profile's fp32 F1 has
+  // settled; an under-trained fit leaves borderline segments whose F1 flips
+  // on sub-percent score changes.
+  constexpr int kEpochs = 8;
+  constexpr double kF1Tolerance = 0.005;
+  EnvGuard guard;
+  const data::BenchmarkDataset dataset = GetParam();
+  const data::LabeledDataset ds = data::MakeBenchmarkDataset(dataset, 1.0);
+  TfmaeConfig config = bench::TfmaeConfigFor(dataset);
+  config.epochs = std::min(config.epochs, kEpochs);
+  const double fraction = bench::AnomalyFractionFor(dataset);
+
+  TfmaeDetector detector(config);
+  detector.SetQuantMode(TfmaeDetector::QuantMode::kOff);
+  detector.Fit(ds.train);
+  const std::vector<float> val_fp32 = detector.Score(ds.val);
+  const std::vector<float> test_fp32 = detector.Score(ds.test);
+  std::string error;
+  ASSERT_TRUE(detector.Calibrate(ds.val, &error)) << error;
+  detector.SetQuantMode(TfmaeDetector::QuantMode::kInt8);
+  const std::vector<float> val_int8 = detector.Score(ds.val);
+  const std::vector<float> test_int8 = detector.Score(ds.test);
+
+  const double f1_fp32 = eval::EvaluateDetection(val_fp32, test_fp32,
+                                                 ds.test.labels, fraction)
+                             .adjusted.f1;
+  const double f1_int8 = eval::EvaluateDetection(val_int8, test_int8,
+                                                 ds.test.labels, fraction)
+                             .adjusted.f1;
+  EXPECT_LE(std::fabs(f1_int8 - f1_fp32), kF1Tolerance)
+      << "f1_fp32=" << f1_fp32 << " f1_int8=" << f1_int8;
+  EXPECT_EQ(detector.quant_fallbacks(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MainDatasets, QuantParityTest, ::testing::ValuesIn(data::MainDatasets()),
+    [](const ::testing::TestParamInfo<data::BenchmarkDataset>& info) {
+      return data::DatasetName(info.param);
+    });
 
 }  // namespace
 }  // namespace tfmae::core

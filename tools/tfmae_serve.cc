@@ -82,12 +82,15 @@
 #include <algorithm>
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/detector.h"
@@ -124,10 +127,31 @@ bool HasFlag(int argc, char** argv, const char* flag) {
   return false;
 }
 
-std::int64_t IntFlag(int argc, char** argv, const char* prefix,
-                     std::int64_t fallback) {
+// `text` parsed whole as one T. Anything else ("8x", "", "abc", out of
+// range, and for floating types nan/inf) exits 1 naming `what`, the flag or
+// environment variable the text came from.
+template <typename T>
+T NumberOrExit(std::string_view what, const char* text) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  bool ok = ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    std::fprintf(stderr, "tfmae_serve: %.*s must be a number (got '%s')\n",
+                 static_cast<int>(what.size()), what.data(), text);
+    std::exit(1);
+  }
+  return value;
+}
+
+// Value of the numeric flag `prefix` ("--name="), or `fallback` when absent.
+template <typename T = std::int64_t>
+T NumberFlag(int argc, char** argv, const char* prefix,
+             std::type_identity_t<T> fallback) {
   const char* v = FlagValue(argc, argv, prefix);
-  return v != nullptr ? std::atoll(v) : fallback;
+  if (v == nullptr) return fallback;
+  return NumberOrExit<T>({prefix, std::strlen(prefix) - 1}, v);
 }
 
 // One deterministic replay row: stream `s` reads the shared series at a
@@ -167,33 +191,33 @@ void LogResults(std::FILE* log, const std::vector<tfmae::serve::ScoredWindow>& r
 int main(int argc, char** argv) {
   tfmae::obs::MaybeProfileFromArgs(&argc, argv);
 
-  const std::int64_t streams = IntFlag(argc, argv, "--streams=", 1024);
-  const std::int64_t threads = IntFlag(argc, argv, "--threads=", 1);
-  const std::int64_t batch_max = IntFlag(argc, argv, "--batch_max=", 64);
-  const std::int64_t rows = IntFlag(argc, argv, "--rows=", 200);
-  const std::int64_t seconds = IntFlag(argc, argv, "--seconds=", 0);
-  const std::int64_t window = IntFlag(argc, argv, "--window=", 32);
-  const std::int64_t hop = IntFlag(argc, argv, "--hop=", 8);
+  const std::int64_t streams = NumberFlag(argc, argv, "--streams=", 1024);
+  const std::int64_t threads = NumberFlag(argc, argv, "--threads=", 1);
+  const std::int64_t batch_max = NumberFlag(argc, argv, "--batch_max=", 64);
+  const std::int64_t rows = NumberFlag(argc, argv, "--rows=", 200);
+  const std::int64_t seconds = NumberFlag(argc, argv, "--seconds=", 0);
+  const std::int64_t window = NumberFlag(argc, argv, "--window=", 32);
+  const std::int64_t hop = NumberFlag(argc, argv, "--hop=", 8);
   const std::int64_t queue_capacity =
-      IntFlag(argc, argv, "--queue_capacity=", 4096);
+      NumberFlag(argc, argv, "--queue_capacity=", 4096);
   const char* csv_path = FlagValue(argc, argv, "--csv=");
   const char* checkpoint = FlagValue(argc, argv, "--checkpoint=");
   const char* save_checkpoint = FlagValue(argc, argv, "--save_checkpoint=");
-  const double anomaly_fraction = [&] {
-    const char* v = FlagValue(argc, argv, "--anomaly_fraction=");
-    return v != nullptr ? std::atof(v) : 0.02;
-  }();
+  const double anomaly_fraction =
+      NumberFlag<double>(argc, argv, "--anomaly_fraction=", 0.02);
   const char* quant_flag = FlagValue(argc, argv, "--quant=");
   const bool verify = HasFlag(argc, argv, "--verify");
   const bool quiet = HasFlag(argc, argv, "--quiet");
   const char* snapshot_dir = FlagValue(argc, argv, "--snapshot_dir=");
-  const std::int64_t snapshot_every = [&] {
+  const std::int64_t snapshot_every = [&]() -> std::int64_t {
     // Flag wins; TFMAE_SERVE_SNAPSHOT_EVERY supplies the fleet-wide default.
-    const char* v = FlagValue(argc, argv, "--snapshot_every=");
-    if (v != nullptr) return static_cast<std::int64_t>(std::atoll(v));
+    if (const char* v = FlagValue(argc, argv, "--snapshot_every=")) {
+      return NumberOrExit<std::int64_t>("--snapshot_every", v);
+    }
     const char* env = std::getenv("TFMAE_SERVE_SNAPSHOT_EVERY");
-    return env != nullptr ? static_cast<std::int64_t>(std::atoll(env))
-                          : std::int64_t{0};
+    return env != nullptr
+               ? NumberOrExit<std::int64_t>("TFMAE_SERVE_SNAPSHOT_EVERY", env)
+               : 0;
   }();
   const bool restore = HasFlag(argc, argv, "--restore");
   const char* score_log_path = FlagValue(argc, argv, "--score_log=");
@@ -202,42 +226,38 @@ int main(int argc, char** argv) {
     if (v != nullptr) return v;
     return std::getenv("TFMAE_SERVE_SHED_POLICY");
   }();
-  const std::int64_t watchdog_ms = IntFlag(argc, argv, "--watchdog_ms=", 0);
+  const std::int64_t watchdog_ms = NumberFlag(argc, argv, "--watchdog_ms=", 0);
   // Live observability flags. --metrics_port is present/absent (0 is a valid
-  // value: bind an ephemeral port and print it).
+  // value: bind an ephemeral port and print it); HttpEndpoint::Start rejects
+  // a port outside [0, 65535].
   const char* metrics_port_flag = FlagValue(argc, argv, "--metrics_port=");
-  const std::int64_t stats_every = IntFlag(argc, argv, "--stats_every=", 0);
-  const std::int64_t trace_sample = IntFlag(argc, argv, "--trace_sample=", 0);
+  const int metrics_port =
+      metrics_port_flag != nullptr
+          ? NumberOrExit<int>("--metrics_port", metrics_port_flag)
+          : 0;
+  const std::int64_t stats_every = NumberFlag(argc, argv, "--stats_every=", 0);
+  const std::int64_t trace_sample =
+      NumberFlag(argc, argv, "--trace_sample=", 0);
   const std::int64_t slo_latency_ms =
-      IntFlag(argc, argv, "--slo_latency_ms=", 0);
+      NumberFlag(argc, argv, "--slo_latency_ms=", 0);
   const std::int64_t slo_staleness_rows =
-      IntFlag(argc, argv, "--slo_staleness_rows=", 0);
-  const std::int64_t drift_every = IntFlag(argc, argv, "--drift_every=", 0);
-  const double drift_threshold = [&] {
-    const char* v = FlagValue(argc, argv, "--drift_threshold=");
-    return v != nullptr ? std::atof(v) : 0.35;
-  }();
+      NumberFlag(argc, argv, "--slo_staleness_rows=", 0);
+  const std::int64_t drift_every = NumberFlag(argc, argv, "--drift_every=", 0);
+  const double drift_threshold =
+      NumberFlag<double>(argc, argv, "--drift_threshold=", 0.35);
   const std::int64_t drain_linger_ms =
-      IntFlag(argc, argv, "--drain_linger_ms=", 0);
+      NumberFlag(argc, argv, "--drain_linger_ms=", 0);
   if (quant_flag != nullptr && std::strcmp(quant_flag, "int8") != 0 &&
       std::strcmp(quant_flag, "off") != 0) {
     std::fprintf(stderr, "tfmae_serve: --quant must be int8 or off\n");
     return 1;
   }
-  // A whole decimal number; HttpEndpoint::Start rejects one outside
-  // [0, 65535].
-  int metrics_port = 0;
-  if (metrics_port_flag != nullptr) {
-    const char* end = metrics_port_flag + std::strlen(metrics_port_flag);
-    const auto [ptr, ec] =
-        std::from_chars(metrics_port_flag, end, metrics_port);
-    if (ec != std::errc() || ptr != end) {
-      std::fprintf(stderr,
-                   "tfmae_serve: --metrics_port must be a port number "
-                   "(got %s)\n",
-                   metrics_port_flag);
-      return 1;
-    }
+  if (anomaly_fraction <= 0.0 || anomaly_fraction >= 1.0) {
+    std::fprintf(stderr,
+                 "tfmae_serve: --anomaly_fraction must be in (0, 1) "
+                 "(got %g)\n",
+                 anomaly_fraction);
+    return 1;
   }
   tfmae::serve::ShedPolicy shed_policy = tfmae::serve::ShedPolicy::kRejectNew;
   if (shed_policy_name != nullptr && shed_policy_name[0] != '\0') {
