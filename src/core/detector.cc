@@ -31,21 +31,9 @@ std::uint32_t ConfigCrc(const TfmaeConfig& config) {
   return util::Crc32(text.data(), text.size());
 }
 
-// Extracts window values [start, start+len) as a flat [len * N] vector.
-std::vector<float> ExtractWindow(const data::TimeSeries& series,
-                                 std::int64_t start, std::int64_t len) {
-  const std::int64_t n_feat = series.num_features;
-  return std::vector<float>(
-      series.values.begin() +
-          static_cast<std::ptrdiff_t>(start * n_feat),
-      series.values.begin() +
-          static_cast<std::ptrdiff_t>((start + len) * n_feat));
-}
-
 }  // namespace
 
-// In-place per-feature instance normalization of one window. Exported
-// (detector.h) so the serving plane can replicate Score()'s pipeline.
+// In-place per-feature instance normalization of one window.
 void PerWindowNormalize(std::vector<float>* values, std::int64_t len,
                         std::int64_t n_feat) {
   for (std::int64_t n = 0; n < n_feat; ++n) {
@@ -116,31 +104,37 @@ void TfmaeDetector::SetScoreReference(ScoreDistribution dist) {
   score_reference_ = std::move(dist);
 }
 
+void TfmaeDetector::PrepareRawWindow(const float* rows, std::int64_t length,
+                                     Rng* mask_rng, MaskedWindow* out) const {
+  const std::int64_t n_feat = model_->num_features();
+  out->values.resize(static_cast<std::size_t>(length * n_feat));
+  normalizer_.ApplyRows(rows, length, out->values.data());
+  if (config_.per_window_normalization) {
+    PerWindowNormalize(&out->values, length, n_feat);
+  }
+  model_->PrepareWindowInto(out, mask_rng);
+}
+
 bool TfmaeDetector::Calibrate(const data::TimeSeries& series,
                               std::string* error) {
   TFMAE_CHECK_MSG(fitted_, "Calibrate() called before Fit()");
   TFMAE_CHECK(series.num_features == model_->num_features());
-  const data::TimeSeries normalized = normalizer_.Apply(series);
-  const std::int64_t window = std::min(config_.window, normalized.length);
+  const std::int64_t window = std::min(config_.window, series.length);
   const std::int64_t stride =
       config_.score_stride > 0 ? std::min(config_.score_stride, window)
                                : window;
   const std::vector<std::int64_t> starts =
-      data::WindowStarts(normalized.length, window, stride);
+      data::WindowStarts(series.length, window, stride);
 
   // A private mask rng keeps calibration from perturbing the detector's
   // scoring stream — Score() after Calibrate() is bitwise the same as
   // Score() without it.
   Rng mask_rng(config_.seed + 1);
-  std::vector<MaskedWindow> windows;
-  windows.reserve(std::min(starts.size(), kMaxCalibrationWindows));
-  for (std::int64_t start : starts) {
-    if (windows.size() >= kMaxCalibrationWindows) break;
-    std::vector<float> values = ExtractWindow(normalized, start, window);
-    if (config_.per_window_normalization) {
-      PerWindowNormalize(&values, window, normalized.num_features);
-    }
-    windows.push_back(model_->PrepareWindow(values, &mask_rng));
+  std::vector<MaskedWindow> windows(
+      std::min(starts.size(), kMaxCalibrationWindows));
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    PrepareRawWindow(series.values.data() + starts[i] * series.num_features,
+                     window, &mask_rng, &windows[i]);
   }
 
   QuantSpec spec;
@@ -233,7 +227,6 @@ void TfmaeDetector::FitInternal(const data::TimeSeries& train,
   rng_ = Rng(config_.seed);
 
   normalizer_.Fit(train);
-  const data::TimeSeries normalized = normalizer_.Apply(train);
 
   model_ = std::make_unique<TfmaeModel>(train.num_features, config_, &rng_);
   plan_.reset();  // weights change: any captured plan is stale
@@ -243,19 +236,16 @@ void TfmaeDetector::FitInternal(const data::TimeSeries& train,
   optimizer_ = std::make_unique<nn::Adam>(model_->Parameters(), adam_options);
 
   // Slice training windows and precompute masks once (masks are functions of
-  // the data only).
-  const std::int64_t window = std::min(config_.window, normalized.length);
+  // the data only). Serially: the random-masking ablation variants draw
+  // from the one rng_ in window order.
+  const std::int64_t window = std::min(config_.window, train.length);
   const std::int64_t stride = config_.stride > 0 ? config_.stride : window;
   const std::vector<std::int64_t> starts =
-      data::WindowStarts(normalized.length, window, stride);
-  std::vector<MaskedWindow> windows;
-  windows.reserve(starts.size());
-  for (std::int64_t start : starts) {
-    std::vector<float> values = ExtractWindow(normalized, start, window);
-    if (config_.per_window_normalization) {
-      PerWindowNormalize(&values, window, normalized.num_features);
-    }
-    windows.push_back(model_->PrepareWindow(values, &rng_));
+      data::WindowStarts(train.length, window, stride);
+  std::vector<MaskedWindow> windows(starts.size());
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    PrepareRawWindow(train.values.data() + starts[i] * train.num_features,
+                     window, &rng_, &windows[i]);
   }
   stats_ = TrainStats{};
   stats_.num_windows = static_cast<std::int64_t>(windows.size());
@@ -548,14 +538,12 @@ bool TfmaeDetector::LoadCheckpoint(const std::string& prefix) {
 std::vector<float> TfmaeDetector::Score(const data::TimeSeries& series) {
   TFMAE_CHECK_MSG(fitted_, "Score() called before Fit()");
   TFMAE_CHECK(series.num_features == model_->num_features());
-  const data::TimeSeries normalized = normalizer_.Apply(series);
-
-  const std::int64_t window = std::min(config_.window, normalized.length);
+  const std::int64_t window = std::min(config_.window, series.length);
   const std::int64_t stride =
       config_.score_stride > 0 ? std::min(config_.score_stride, window)
                                : window;
   const std::vector<std::int64_t> starts =
-      data::WindowStarts(normalized.length, window, stride);
+      data::WindowStarts(series.length, window, stride);
 
   std::vector<double> score_sum(static_cast<std::size_t>(series.length), 0.0);
   std::vector<std::int32_t> score_count(
@@ -590,12 +578,10 @@ std::vector<float> TfmaeDetector::Score(const data::TimeSeries& series) {
   // A failed capture disables the plan for the remainder of this call
   // (each window would fail the same way); the next Score() retries.
   bool capture_failed_this_call = false;
+  MaskedWindow masked;
   for (std::int64_t start : starts) {
-    std::vector<float> values = ExtractWindow(normalized, start, window);
-    if (config_.per_window_normalization) {
-      PerWindowNormalize(&values, window, normalized.num_features);
-    }
-    const MaskedWindow masked = model_->PrepareWindow(values, &rng_);
+    PrepareRawWindow(series.values.data() + start * series.num_features,
+                     window, &rng_, &masked);
     if (plan_enabled_ && plan_ != nullptr && plan_->Matches(masked) &&
         plan_->stats().quantized == (quant != nullptr)) {
       plan_->Score(masked, &plan_scores_);

@@ -17,10 +17,8 @@
 namespace tfmae::core {
 
 /// In-place per-feature instance normalization of one window ([len x
-/// n_feat], row-major) — the optional per-window step of the scoring
-/// pipeline (config.per_window_normalization). Exported so that
-/// serve::FleetServer can replicate TfmaeDetector::Score's exact per-window
-/// pipeline outside the detector.
+/// n_feat], row-major) — the optional per-window step of
+/// TfmaeDetector::PrepareRawWindow (config.per_window_normalization).
 void PerWindowNormalize(std::vector<float>* values, std::int64_t len,
                         std::int64_t n_feat);
 
@@ -94,6 +92,12 @@ class TfmaeDetector : public AnomalyDetector {
   /// are averaged. Requires Fit().
   std::vector<float> Score(const data::TimeSeries& series) override;
 
+  /// The one window pipeline (Fit, Calibrate, Score, serve::FleetServer):
+  /// z-score `length` raw rows, optionally normalize per window, and mask
+  /// into `out`, reusing its buffers. Thread-safe on distinct `out`s.
+  void PrepareRawWindow(const float* rows, std::int64_t length, Rng* mask_rng,
+                        MaskedWindow* out) const;
+
   const TrainStats& train_stats() const { return stats_; }
   const TfmaeConfig& config() const { return config_; }
 
@@ -104,8 +108,8 @@ class TfmaeDetector : public AnomalyDetector {
   TfmaeModel* model() { return model_.get(); }
   const TfmaeModel* model() const { return model_.get(); }
 
-  /// The global z-score statistics fitted on train. serve::FleetServer uses
-  /// these to normalize stream windows exactly as Score() would.
+  /// The global z-score statistics fitted on train (PrepareRawWindow's
+  /// first step).
   const data::ZScoreNormalizer& normalizer() const { return normalizer_; }
 
   /// Pre-planned inference (DESIGN.md §10). On by default (TFMAE_INFERENCE_PLAN=0

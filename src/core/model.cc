@@ -61,41 +61,65 @@ std::vector<int> TfmaeModel::ScoreHeadParameterIndices() const {
   return out;
 }
 
+void MaskedWindow::Reserve(std::int64_t length, std::int64_t num_features) {
+  const auto len = static_cast<std::size_t>(length);
+  values.reserve(len * static_cast<std::size_t>(num_features));
+  temporal.masked.reserve(len);
+  temporal.unmasked.reserve(len);
+  frequency.resize(static_cast<std::size_t>(num_features));
+  for (masking::FrequencyMaskedColumn& column : frequency) {
+    column.base.reserve(len);
+    column.cos_coef.reserve(len);
+    column.sin_coef.reserve(len);
+    column.masked_bins.reserve(len);
+  }
+}
+
 MaskedWindow TfmaeModel::PrepareWindow(const std::vector<float>& values,
                                        Rng* mask_rng) const {
   MaskedWindow window;
-  window.num_features = num_features_;
+  window.values = values;
+  PrepareWindowInto(&window, mask_rng);
+  return window;
+}
+
+void TfmaeModel::PrepareWindowInto(MaskedWindow* window, Rng* mask_rng) const {
+  const std::vector<float>& values = window->values;
+  window->num_features = num_features_;
   TFMAE_CHECK_MSG(
       static_cast<std::int64_t>(values.size()) % num_features_ == 0,
       "window size not a multiple of the feature count");
-  window.length = static_cast<std::int64_t>(values.size()) / num_features_;
-  TFMAE_CHECK(window.length >= 2);
-  window.values = values;
+  const std::int64_t length =
+      static_cast<std::int64_t>(values.size()) / num_features_;
+  window->length = length;
+  TFMAE_CHECK(length >= 2);
 
+  masking::TemporalMask& temporal = window->temporal;
   if (config_.use_temporal_branch) {
-    window.temporal = masking::ComputeTemporalMask(
-        values, window.length, num_features_, config_.cv_window,
+    const masking::TemporalMask mask = masking::ComputeTemporalMask(
+        values, length, num_features_, config_.cv_window,
         config_.temporal_mask_ratio, config_.temporal_mask, config_.cv_method,
         mask_rng);
+    temporal.masked.assign(mask.masked.begin(), mask.masked.end());
+    temporal.unmasked.assign(mask.unmasked.begin(), mask.unmasked.end());
   } else {
     // Unmasked pass-through: everything is "unmasked".
-    window.temporal.unmasked = AllPositions(window.length);
+    temporal.masked.clear();
+    temporal.unmasked.resize(static_cast<std::size_t>(length));
+    std::iota(temporal.unmasked.begin(), temporal.unmasked.end(), 0);
   }
 
   if (config_.use_frequency_branch) {
-    window.frequency.reserve(static_cast<std::size_t>(num_features_));
-    std::vector<float> column(static_cast<std::size_t>(window.length));
+    window->frequency.resize(static_cast<std::size_t>(num_features_));
     for (std::int64_t n = 0; n < num_features_; ++n) {
-      for (std::int64_t t = 0; t < window.length; ++t) {
-        column[static_cast<std::size_t>(t)] =
-            values[static_cast<std::size_t>(t * num_features_ + n)];
-      }
-      window.frequency.push_back(masking::MaskFrequencyColumn(
-          column, config_.frequency_mask_ratio, config_.frequency_mask,
-          mask_rng));
+      masking::MaskFrequencyColumnInto(
+          values.data() + n, length, num_features_,
+          config_.frequency_mask_ratio, config_.frequency_mask, mask_rng,
+          &window->frequency[static_cast<std::size_t>(n)]);
     }
+  } else {
+    window->frequency.clear();
   }
-  return window;
 }
 
 Tensor TfmaeModel::TemporalView(const MaskedWindow& window) const {

@@ -24,6 +24,11 @@ struct MaskedWindow {
   masking::TemporalMask temporal;
   /// Per-feature frequency mask decomposition (Eq. (9)-(10)).
   std::vector<masking::FrequencyMaskedColumn> frequency;
+
+  /// Gives every buffer the capacity a [length x num_features] window
+  /// needs, so that a following TfmaeModel::PrepareWindowInto allocates
+  /// nothing.
+  void Reserve(std::int64_t length, std::int64_t num_features);
 };
 
 /// The dual masked autoencoder. All trainable parameters (projections, mask
@@ -43,6 +48,11 @@ class TfmaeModel : public nn::Module {
   /// `mask_rng` is consumed only by the random masking ablation variants.
   MaskedWindow PrepareWindow(const std::vector<float>& values,
                              Rng* mask_rng) const;
+
+  /// PrepareWindow for the values already in `window->values`, reusing
+  /// `window`'s buffers: once it has held a window of the same shape, no
+  /// buffer is reallocated. Safe to call concurrently on distinct windows.
+  void PrepareWindowInto(MaskedWindow* window, Rng* mask_rng) const;
 
   /// Runs both autoencoders on a prepared window.
   Views Forward(const MaskedWindow& window) const;

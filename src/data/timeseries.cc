@@ -74,13 +74,19 @@ TimeSeries ZScoreNormalizer::Apply(const TimeSeries& series) const {
                       means_.size(),
                   "normalizer fitted on a different feature count");
   TimeSeries out = series;
-  for (std::int64_t t = 0; t < out.length; ++t) {
-    for (std::int64_t n = 0; n < out.num_features; ++n) {
-      out.at(t, n) = (out.at(t, n) - means_[static_cast<std::size_t>(n)]) /
-                     stds_[static_cast<std::size_t>(n)];
+  ApplyRows(out.values.data(), out.length, out.values.data());
+  return out;
+}
+
+void ZScoreNormalizer::ApplyRows(const float* in, std::int64_t rows,
+                                 float* out) const {
+  const std::size_t n_feat = means_.size();
+  for (std::size_t i = 0; i < static_cast<std::size_t>(rows) * n_feat;
+       i += n_feat) {
+    for (std::size_t n = 0; n < n_feat; ++n) {
+      out[i + n] = (in[i + n] - means_[n]) / stds_[n];
     }
   }
-  return out;
 }
 
 std::vector<std::int64_t> WindowStarts(std::int64_t length,

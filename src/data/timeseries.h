@@ -45,6 +45,10 @@ class ZScoreNormalizer {
   /// Returns a normalized copy: (x - mean) / std per feature.
   TimeSeries Apply(const TimeSeries& series) const;
 
+  /// Apply() on `rows` rows from `in` to `out` (may alias). Elementwise, so
+  /// a window normalized alone has the bits of those rows of Apply().
+  void ApplyRows(const float* in, std::int64_t rows, float* out) const;
+
   const std::vector<float>& means() const { return means_; }
   const std::vector<float>& stds() const { return stds_; }
 

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "obs/trace.h"
+#include "util/length_cache.h"
 #include "util/logging.h"
 
 namespace tfmae::fft {
@@ -19,16 +20,21 @@ void BitReverse(std::vector<Complex>* data) {
   }
 }
 
-// Bluestein's algorithm: expresses an arbitrary-length DFT as a convolution,
-// evaluated with a power-of-two FFT.
-std::vector<Complex> Bluestein(const std::vector<Complex>& input,
-                               bool inverse) {
-  const std::int64_t n = static_cast<std::int64_t>(input.size());
-  const double sign = inverse ? 1.0 : -1.0;
+// Bluestein's constants for one length and direction: the chirp
+// w[t] = exp(sign * i * pi * t^2 / n) and the power-of-two spectrum of its
+// wrapped conjugate, the convolution filter. Neither depends on the input.
+struct BluesteinTables {
+  std::vector<Complex> chirp;
+  std::vector<Complex> filter;
+};
 
-  // Chirp: w[t] = exp(sign * i * pi * t^2 / n). t^2 is taken mod 2n to keep
-  // the argument small and the chirp exactly periodic.
-  std::vector<Complex> chirp(static_cast<std::size_t>(n));
+BluesteinTables MakeBluesteinTables(std::int64_t n, bool inverse) {
+  const double sign = inverse ? 1.0 : -1.0;
+  BluesteinTables tables;
+  // t^2 is taken mod 2n to keep the argument small and the chirp exactly
+  // periodic.
+  std::vector<Complex>& chirp = tables.chirp;
+  chirp.resize(static_cast<std::size_t>(n));
   for (std::int64_t t = 0; t < n; ++t) {
     const std::int64_t t2 = (t * t) % (2 * n);
     const double angle = sign * M_PI * static_cast<double>(t2) /
@@ -36,27 +42,41 @@ std::vector<Complex> Bluestein(const std::vector<Complex>& input,
     chirp[static_cast<std::size_t>(t)] = Complex(std::cos(angle),
                                                  std::sin(angle));
   }
-
   const std::int64_t m = NextPowerOfTwo(2 * n - 1);
-  std::vector<Complex> a(static_cast<std::size_t>(m), Complex(0, 0));
-  std::vector<Complex> b(static_cast<std::size_t>(m), Complex(0, 0));
-  for (std::int64_t t = 0; t < n; ++t) {
-    a[static_cast<std::size_t>(t)] = MulFma(input[static_cast<std::size_t>(t)],
-                                            chirp[static_cast<std::size_t>(t)]);
-  }
+  std::vector<Complex>& b = tables.filter;
+  b.assign(static_cast<std::size_t>(m), Complex(0, 0));
   b[0] = std::conj(chirp[0]);
   for (std::int64_t t = 1; t < n; ++t) {
     const Complex value = std::conj(chirp[static_cast<std::size_t>(t)]);
     b[static_cast<std::size_t>(t)] = value;
     b[static_cast<std::size_t>(m - t)] = value;
   }
-
-  FftPow2(&a, /*inverse=*/false);
   FftPow2(&b, /*inverse=*/false);
-  for (std::int64_t i = 0; i < m; ++i) {
-    a[static_cast<std::size_t>(i)] = MulFma(a[static_cast<std::size_t>(i)],
-                                            b[static_cast<std::size_t>(i)]);
+  return tables;
+}
+
+// Keyed by 2n + inverse.
+LengthCache<BluesteinTables> g_bluestein_tables;
+
+// Bluestein's algorithm: expresses an arbitrary-length DFT as a convolution,
+// evaluated with a power-of-two FFT.
+std::vector<Complex> Bluestein(const std::vector<Complex>& input,
+                               bool inverse) {
+  const std::int64_t n = static_cast<std::int64_t>(input.size());
+  const BluesteinTables& tables = g_bluestein_tables.Get(
+      2 * n + (inverse ? 1 : 0),
+      [n, inverse] { return MakeBluesteinTables(n, inverse); });
+  const std::vector<Complex>& chirp = tables.chirp;
+  const std::vector<Complex>& filter = tables.filter;
+  const std::size_t m = filter.size();
+
+  std::vector<Complex> a(m, Complex(0, 0));
+  for (std::int64_t t = 0; t < n; ++t) {
+    a[static_cast<std::size_t>(t)] = MulFma(input[static_cast<std::size_t>(t)],
+                                            chirp[static_cast<std::size_t>(t)]);
   }
+  FftPow2(&a, /*inverse=*/false);
+  for (std::size_t i = 0; i < m; ++i) a[i] = MulFma(a[i], filter[i]);
   FftPow2(&a, /*inverse=*/true);
 
   std::vector<Complex> output(static_cast<std::size_t>(n));

@@ -6,21 +6,83 @@
 
 #include "fft/fft.h"
 #include "obs/trace.h"
+#include "util/length_cache.h"
 #include "util/logging.h"
 
 namespace tfmae::masking {
+namespace {
+
+// The terms masked bin `bin` adds to cos_coef[t] and subtracts from
+// sin_coef[t]: Re[(re + j*im) * e^{j angle}] / length =
+// (re*cos - im*sin) / length.
+struct CoefficientTerms {
+  float cos_term;
+  float sin_term;
+};
+
+CoefficientTerms Terms(std::int64_t bin, std::int64_t t, double inv_len) {
+  const double angle = 2.0 * M_PI * static_cast<double>(bin) *
+                       static_cast<double>(t) * inv_len;
+  return {static_cast<float>(std::cos(angle) * inv_len),
+          static_cast<float>(std::sin(angle) * inv_len)};
+}
+
+// Terms for every (bin, t) of one length, row-major [bin][t].
+struct CoefficientTable {
+  std::vector<float> cos_terms;
+  std::vector<float> sin_terms;
+};
+
+// The table holds 2 * length^2 floats (2 MiB at this cap); longer columns
+// evaluate the same Terms inline.
+constexpr std::int64_t kMaxTabledLength = 512;
+
+LengthCache<CoefficientTable> g_coefficient_tables;
+
+const CoefficientTable& CoefficientTableFor(std::int64_t length) {
+  return g_coefficient_tables.Get(length, [length] {
+    const double inv_len = 1.0 / static_cast<double>(length);
+    CoefficientTable table;
+    table.cos_terms.resize(static_cast<std::size_t>(length * length));
+    table.sin_terms.resize(static_cast<std::size_t>(length * length));
+    for (std::int64_t bin = 0; bin < length; ++bin) {
+      for (std::int64_t t = 0; t < length; ++t) {
+        const CoefficientTerms terms = Terms(bin, t, inv_len);
+        const auto i = static_cast<std::size_t>(bin * length + t);
+        table.cos_terms[i] = terms.cos_term;
+        table.sin_terms[i] = terms.sin_term;
+      }
+    }
+    return table;
+  });
+}
+
+}  // namespace
 
 FrequencyMaskedColumn MaskFrequencyColumn(const std::vector<float>& column,
                                           double ratio,
                                           FrequencyMaskVariant variant,
                                           Rng* rng) {
+  FrequencyMaskedColumn result;
+  MaskFrequencyColumnInto(column.data(),
+                          static_cast<std::int64_t>(column.size()), 1, ratio,
+                          variant, rng, &result);
+  return result;
+}
+
+void MaskFrequencyColumnInto(const float* column, std::int64_t length,
+                             std::int64_t stride, double ratio,
+                             FrequencyMaskVariant variant, Rng* rng,
+                             FrequencyMaskedColumn* out) {
   TFMAE_TRACE("masking.frequency");
   TFMAE_CHECK_MSG(ratio >= 0.0 && ratio < 1.0,
                   "frequency mask ratio must be in [0, 1), got " << ratio);
-  const std::int64_t length = static_cast<std::int64_t>(column.size());
   TFMAE_CHECK(length >= 1);
 
-  std::vector<double> column_d(column.begin(), column.end());
+  std::vector<double> column_d(static_cast<std::size_t>(length));
+  for (std::int64_t t = 0; t < length; ++t) {
+    column_d[static_cast<std::size_t>(t)] = column[t * stride];
+  }
   std::vector<fft::Complex> spectrum = fft::RealFft(column_d);
 
   const std::int64_t masked_count =
@@ -83,24 +145,32 @@ FrequencyMaskedColumn MaskFrequencyColumn(const std::vector<float>& column,
   }
   const std::vector<double> base_d = fft::RealIfft(spectrum);
 
-  FrequencyMaskedColumn result;
-  result.base.assign(base_d.begin(), base_d.end());
-  result.masked_bins = std::move(masked);
-  result.cos_coef.assign(static_cast<std::size_t>(length), 0.0f);
-  result.sin_coef.assign(static_cast<std::size_t>(length), 0.0f);
-  const double inv_len = 1.0 / static_cast<double>(length);
-  for (std::int64_t bin : result.masked_bins) {
-    for (std::int64_t t = 0; t < length; ++t) {
-      const double angle = 2.0 * M_PI * static_cast<double>(bin) *
-                           static_cast<double>(t) * inv_len;
-      // Re[(re + j*im) * e^{j angle}] / length = (re*cos - im*sin) / length.
-      result.cos_coef[static_cast<std::size_t>(t)] +=
-          static_cast<float>(std::cos(angle) * inv_len);
-      result.sin_coef[static_cast<std::size_t>(t)] -=
-          static_cast<float>(std::sin(angle) * inv_len);
+  out->base.assign(base_d.begin(), base_d.end());
+  out->masked_bins.assign(masked.begin(), masked.end());
+  out->cos_coef.assign(static_cast<std::size_t>(length), 0.0f);
+  out->sin_coef.assign(static_cast<std::size_t>(length), 0.0f);
+  float* cos_coef = out->cos_coef.data();
+  float* sin_coef = out->sin_coef.data();
+  if (length <= kMaxTabledLength) {
+    const CoefficientTable& table = CoefficientTableFor(length);
+    for (std::int64_t bin : out->masked_bins) {
+      const float* cos_terms = table.cos_terms.data() + bin * length;
+      const float* sin_terms = table.sin_terms.data() + bin * length;
+      for (std::int64_t t = 0; t < length; ++t) {
+        cos_coef[t] += cos_terms[t];
+        sin_coef[t] -= sin_terms[t];
+      }
+    }
+  } else {
+    const double inv_len = 1.0 / static_cast<double>(length);
+    for (std::int64_t bin : out->masked_bins) {
+      for (std::int64_t t = 0; t < length; ++t) {
+        const CoefficientTerms terms = Terms(bin, t, inv_len);
+        cos_coef[t] += terms.cos_term;
+        sin_coef[t] -= terms.sin_term;
+      }
     }
   }
-  return result;
 }
 
 std::vector<float> AssembleMaskedColumn(const FrequencyMaskedColumn& masked,

@@ -50,6 +50,14 @@ FrequencyMaskedColumn MaskFrequencyColumn(const std::vector<float>& column,
                                           FrequencyMaskVariant variant,
                                           Rng* rng);
 
+/// MaskFrequencyColumn on `length` values `stride` floats apart (one feature
+/// column of a row-major window), written into `out`: once `out` has held a
+/// column of this length, no buffer of it is reallocated.
+void MaskFrequencyColumnInto(const float* column, std::int64_t length,
+                             std::int64_t stride, double ratio,
+                             FrequencyMaskVariant variant, Rng* rng,
+                             FrequencyMaskedColumn* out);
+
 /// Test/inspection helper: evaluates the decomposition for a concrete token
 /// value, returning base + re*cos_coef + im*sin_coef.
 std::vector<float> AssembleMaskedColumn(const FrequencyMaskedColumn& masked,

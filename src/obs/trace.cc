@@ -38,8 +38,9 @@ struct TracingState {
   std::atomic<std::uint64_t> dropped{0};
   std::size_t capacity = std::size_t{1} << 16;
   /// Generation counter: bumped by ClearTraceEvents so threads drop stale
-  /// buffer pointers.
-  std::uint64_t generation = 1;
+  /// buffer pointers. Atomic so that a thread can check its cached buffer
+  /// without taking mu.
+  std::atomic<std::uint64_t> generation{1};
   std::vector<EventBuffer*> buffers;  // creation order = thread index order
 };
 
@@ -63,20 +64,25 @@ SiteState& Sites() {
   return *state;
 }
 
+// The calling thread's buffer for the current generation. Only creating a
+// buffer takes the lock; a recording thread otherwise touches no shared
+// state but the generation counter.
 EventBuffer* LocalEventBuffer() {
   thread_local EventBuffer* buffer = nullptr;
   thread_local std::uint64_t buffer_generation = 0;
   TracingState& tr = Tracing();
-  std::lock_guard<std::mutex> lock(tr.mu);
-  if (buffer == nullptr || buffer_generation != tr.generation) {
-    auto* b = new EventBuffer();
-    b->thread_index = static_cast<int>(tr.buffers.size());
-    b->capacity = tr.capacity;
-    b->events.reserve(b->capacity);
-    tr.buffers.push_back(b);
-    buffer = b;
-    buffer_generation = tr.generation;
+  if (buffer != nullptr &&
+      buffer_generation == tr.generation.load(std::memory_order_acquire)) {
+    return buffer;
   }
+  std::lock_guard<std::mutex> lock(tr.mu);
+  auto* b = new EventBuffer();
+  b->thread_index = static_cast<int>(tr.buffers.size());
+  b->capacity = tr.capacity;
+  b->events.reserve(b->capacity);
+  tr.buffers.push_back(b);
+  buffer = b;
+  buffer_generation = tr.generation.load(std::memory_order_relaxed);
   return buffer;
 }
 
@@ -201,7 +207,7 @@ void ClearTraceEvents() {
   // few megabytes at stake do not justify a hazard scheme. New records go
   // to fresh buffers.
   tr.buffers.clear();
-  ++tr.generation;
+  tr.generation.fetch_add(1, std::memory_order_release);
   tr.dropped.store(0, std::memory_order_relaxed);
 }
 

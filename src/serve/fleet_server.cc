@@ -11,7 +11,6 @@
 
 #include "core/config_io.h"
 #include "core/inference_plan.h"
-#include "data/timeseries.h"
 #include "eval/detection.h"
 #include "obs/flight_recorder.h"
 #include "obs/ledger.h"
@@ -502,33 +501,37 @@ std::int64_t FleetServer::ScoreBatchLocked() {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
 
-  // Phase 1 (dispatch thread, serial): replicate TfmaeDetector::Score's
-  // exact per-window pipeline — global z-score, optional per-window
-  // instance normalization, mask preparation. Masking/FFT are cheap next to
-  // the transformer forward; keeping them off worker threads keeps the
-  // parallel phase a pure replay loop.
-  std::vector<core::MaskedWindow> masked(batch.size());
-  for (std::int64_t i = 0; i < batch_size; ++i) {
-    Request& request = batch[static_cast<std::size_t>(i)];
-    data::TimeSeries series;
-    series.length = window;
-    series.num_features = model.num_features();
-    series.values = std::move(request.values);
-    data::TimeSeries normalized = detector_->normalizer().Apply(series);
-    if (config.per_window_normalization) {
-      core::PerWindowNormalize(&normalized.values, window,
-                               normalized.num_features);
+  // Phase 1 (parallel): each window runs the detector's window pipeline,
+  // TfmaeDetector::PrepareRawWindow (global z-score, optional per-window
+  // normalization, masks), the one Score() runs. It is most of a batch's
+  // work at wide windows (55 Bluestein-length columns on MSL). The mask rng
+  // is keyed by (stream, seq), so a window's masks do not depend on the
+  // batch or thread that prepares it. Workers write into server-owned
+  // slots, shaped here on the dispatch thread and reused batch after
+  // batch: outputs allocated on workers would live on in their per-thread
+  // malloc arenas and raise resident memory.
+  if (prep_slots_.size() < batch.size()) {
+    const std::size_t shaped = prep_slots_.size();
+    prep_slots_.resize(batch.size());
+    for (std::size_t i = shaped; i < prep_slots_.size(); ++i) {
+      prep_slots_[i].Reserve(window, model.num_features());
     }
-    Rng mask_rng(MixSeed(config.seed, request.stream, request.seq));
-    masked[static_cast<std::size_t>(i)] =
-        model.PrepareWindow(normalized.values, &mask_rng);
   }
+  ParallelFor(0, batch_size, 1, [&](std::int64_t b0, std::int64_t b1) {
+    for (std::int64_t i = b0; i < b1; ++i) {
+      const Request& request = batch[static_cast<std::size_t>(i)];
+      Rng mask_rng(MixSeed(config.seed, request.stream, request.seq));
+      detector_->PrepareRawWindow(request.values.data(), window, &mask_rng,
+                                  &prep_slots_[static_cast<std::size_t>(i)]);
+    }
+  });
+  const std::vector<core::MaskedWindow>& masked = prep_slots_;
 
-  // Stage clock: phase 1 (normalization + masking) is the batch-formation
-  // stage of every window in this batch.
+  // Stage clock: phase 1's wall time (parallel normalization + masking) is
+  // the batch-formation stage of every window in this batch.
   const std::uint64_t t_prep = NowNs();
 
-  // Phase 2: score. Planned path: one ParallelFor over the batch, each
+  // Phase 2: score. Planned path: a second ParallelFor over the batch, each
   // chunk claiming a free lane — inside a chunk every kernel-level
   // ParallelFor runs inline at fixed chunk boundaries (util/thread_pool.h),
   // so each window's scores are bitwise those of a sequential replay.

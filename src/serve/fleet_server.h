@@ -444,6 +444,9 @@ class FleetServer {
   // serialized here while ingest continues concurrently.
   std::mutex score_mu_;
   std::vector<std::unique_ptr<Lane>> lanes_;
+  /// Phase-1 outputs, one per window of the largest batch so far; their
+  /// buffers are reused batch after batch. Guarded by score_mu_.
+  std::vector<core::MaskedWindow> prep_slots_;
   /// Sticky int8 demotion: set when a quantized lane capture fails, so the
   /// server never mixes int8 and fp32 lanes in one batch. Guarded by
   /// score_mu_; the counter is read by stats() without it.

@@ -3,6 +3,7 @@
 // stop-gradient semantics, ablation variants, scoring, and the detector's
 // end-to-end behaviour on planted anomalies.
 #include <cmath>
+#include <cstring>
 #include <ostream>
 
 #include <gtest/gtest.h>
@@ -55,6 +56,87 @@ TEST(TfmaeModelTest, PrepareWindowSplitsMaskConsistently) {
     EXPECT_EQ(column.base.size(), 32u);
     EXPECT_EQ(column.masked_bins.size(),
               static_cast<std::size_t>(0.3 * 32));  // default ratio 0.3
+  }
+}
+
+// Every buffer of a MaskedWindow, for checking that reuse reallocates none.
+std::vector<const void*> BufferAddresses(const MaskedWindow& window) {
+  std::vector<const void*> out = {window.values.data(),
+                                  window.temporal.masked.data(),
+                                  window.temporal.unmasked.data(),
+                                  window.frequency.data()};
+  for (const auto& column : window.frequency) {
+    out.insert(out.end(), {column.base.data(), column.cos_coef.data(),
+                           column.sin_coef.data(), column.masked_bins.data()});
+  }
+  return out;
+}
+
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+void ExpectSameWindow(const MaskedWindow& a, const MaskedWindow& b) {
+  EXPECT_EQ(a.length, b.length);
+  EXPECT_TRUE(SameBits(a.values, b.values));
+  EXPECT_EQ(a.temporal.masked, b.temporal.masked);
+  EXPECT_EQ(a.temporal.unmasked, b.temporal.unmasked);
+  ASSERT_EQ(a.frequency.size(), b.frequency.size());
+  for (std::size_t n = 0; n < a.frequency.size(); ++n) {
+    EXPECT_TRUE(SameBits(a.frequency[n].base, b.frequency[n].base))
+        << "column " << n;
+    EXPECT_TRUE(SameBits(a.frequency[n].cos_coef, b.frequency[n].cos_coef))
+        << "column " << n;
+    EXPECT_TRUE(SameBits(a.frequency[n].sin_coef, b.frequency[n].sin_coef))
+        << "column " << n;
+    EXPECT_EQ(a.frequency[n].masked_bins, b.frequency[n].masked_bins);
+  }
+}
+
+TEST(TfmaeModelTest, PrepareWindowIntoReusesEveryBuffer) {
+  Rng rng(1);
+  TfmaeModel model(3, SmallConfig(), &rng);
+  MaskedWindow slot;
+  slot.Reserve(32, 3);
+  const std::vector<const void*> reserved = BufferAddresses(slot);
+  for (const std::uint64_t seed : {4, 5, 6}) {
+    const std::vector<float> values = ToyWindow(32, 3, seed);
+    slot.values.assign(values.begin(), values.end());
+    Rng mask_rng(seed);
+    model.PrepareWindowInto(&slot, &mask_rng);
+    EXPECT_EQ(BufferAddresses(slot), reserved) << "seed " << seed;
+    Rng fresh_rng(seed);
+    ExpectSameWindow(slot, model.PrepareWindow(values, &fresh_rng));
+  }
+}
+
+TEST(TfmaeDetectorTest, PrepareRawWindowMatchesSeriesPipeline) {
+  // Normalizing one window's raw rows gives the bits of normalizing the
+  // whole series first, as Score() once did.
+  TfmaeConfig config = SmallConfig();
+  config.epochs = 1;
+  config.per_window_normalization = true;
+  TfmaeDetector detector(config);
+  data::TimeSeries train = data::TimeSeries::Zeros(96, 3);
+  train.values = ToyWindow(96, 3, 7);
+  detector.Fit(train);
+  data::TimeSeries test = data::TimeSeries::Zeros(80, 3);
+  test.values = ToyWindow(80, 3, 8);
+  const data::TimeSeries normalized = detector.normalizer().Apply(test);
+  MaskedWindow slot;
+  for (const std::int64_t start : {0, 17, 48}) {
+    std::vector<float> values(
+        normalized.values.begin() + start * 3,
+        normalized.values.begin() + (start + 32) * 3);
+    PerWindowNormalize(&values, 32, 3);
+    Rng series_rng(9);
+    const MaskedWindow expected =
+        detector.model()->PrepareWindow(values, &series_rng);
+    Rng raw_rng(9);
+    detector.PrepareRawWindow(test.values.data() + start * 3, 32, &raw_rng,
+                              &slot);
+    ExpectSameWindow(slot, expected);
   }
 }
 

@@ -1,10 +1,13 @@
 // Tests for the FFT library: agreement with the reference DFT, inverse
 // round-trips across lengths (including non-powers-of-two via Bluestein),
-// convolution, the moving-sum primitives behind Eq. (5), and bit
-// fingerprints that every build must reproduce.
+// convolution, the moving-sum primitives behind Eq. (5), the per-length
+// caches, and bit fingerprints that every build must reproduce.
 #include "fft/fft.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -167,6 +170,66 @@ TEST(ConvolutionTest, FftMatchesNaive) {
   for (std::size_t i = 0; i < fast.size(); ++i) {
     EXPECT_NEAR(fast[i], slow[i], 1e-8);
   }
+}
+
+TEST(ConvolutionTest, CachedMovingSumEqualsFftConvolveBitwise) {
+  Rng rng(10);
+  for (const std::int64_t n : {1, 5, 50, 100, 333}) {
+    std::vector<double> x(static_cast<std::size_t>(n));
+    for (double& v : x) v = rng.Normal();
+    for (const std::int64_t w : {1, 3, 10, 25, 400}) {
+      std::vector<double> expected = FftConvolve(
+          x, std::vector<double>(static_cast<std::size_t>(std::min(w, n)),
+                                 1.0));
+      expected.resize(x.size());
+      // Twice: the first call builds the kernel spectrum, the second reads
+      // it from the cache.
+      for (int call = 0; call < 2; ++call) {
+        const std::vector<double> sums = MovingSumFft(x, w);
+        ASSERT_EQ(sums.size(), expected.size());
+        EXPECT_EQ(std::memcmp(sums.data(), expected.data(),
+                              sums.size() * sizeof(double)),
+                  0)
+            << "n=" << n << " w=" << w << " call " << call;
+      }
+    }
+  }
+}
+
+TEST(FftTest, LengthCachesBuiltConcurrentlyAgree) {
+  // Four threads race to build the Bluestein and moving-sum caches of
+  // lengths nothing else in this test has used; every thread must see the
+  // bits a lone caller sees.
+  const std::vector<std::int64_t> lengths = {37, 45, 77, 90};
+  const auto run = [&lengths] {
+    std::vector<std::uint32_t> crcs;
+    for (const std::int64_t n : lengths) {
+      std::vector<Complex> x(static_cast<std::size_t>(n));
+      std::vector<double> real(static_cast<std::size_t>(n));
+      for (std::int64_t t = 0; t < n; ++t) {
+        real[static_cast<std::size_t>(t)] = std::sin(0.37 * t) + 0.01 * t;
+        x[static_cast<std::size_t>(t)] =
+            Complex(real[static_cast<std::size_t>(t)], std::cos(0.11 * t));
+      }
+      const std::vector<Complex> forward = Fft(x);
+      const std::vector<Complex> inverse = Ifft(x);
+      const std::vector<double> sums = MovingSumFft(real, n / 3);
+      crcs.push_back(util::Crc32(forward.data(),
+                                 forward.size() * sizeof(Complex)));
+      crcs.push_back(util::Crc32(inverse.data(),
+                                 inverse.size() * sizeof(Complex)));
+      crcs.push_back(util::Crc32(sums.data(), sums.size() * sizeof(double)));
+    }
+    return crcs;
+  };
+  std::vector<std::vector<std::uint32_t>> per_thread(4);
+  std::vector<std::thread> threads;
+  for (auto& crcs : per_thread) {
+    threads.emplace_back([&crcs, &run] { crcs = run(); });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const std::vector<std::uint32_t> lone = run();
+  for (const auto& crcs : per_thread) EXPECT_EQ(crcs, lone);
 }
 
 class MovingSumTest

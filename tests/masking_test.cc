@@ -2,6 +2,7 @@
 // CV statistic correctness (naive == FFT), scale invariance, TopIndex,
 // mask-variant behaviour, and the frequency-mask decomposition identity.
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -249,6 +250,76 @@ TEST(FrequencyMaskTest, HighFrequencyVariantMasksNyquistNeighborhood) {
         std::min(min_masked_frequency, std::min(bin, 40 - bin));
   }
   EXPECT_GE(min_masked_frequency, 40 / 2 - 8 / 2);  // near Nyquist
+}
+
+// The coefficient loop MaskFrequencyColumn ran before its per-length table:
+// one std::cos and std::sin per (masked bin, t). Test-only reference.
+void DirectTrigCoefficients(const std::vector<std::int64_t>& masked_bins,
+                            std::int64_t length, std::vector<float>* cos_coef,
+                            std::vector<float>* sin_coef) {
+  cos_coef->assign(static_cast<std::size_t>(length), 0.0f);
+  sin_coef->assign(static_cast<std::size_t>(length), 0.0f);
+  const double inv_len = 1.0 / static_cast<double>(length);
+  for (std::int64_t bin : masked_bins) {
+    for (std::int64_t t = 0; t < length; ++t) {
+      const double angle = 2.0 * M_PI * static_cast<double>(bin) *
+                           static_cast<double>(t) * inv_len;
+      (*cos_coef)[static_cast<std::size_t>(t)] +=
+          static_cast<float>(std::cos(angle) * inv_len);
+      (*sin_coef)[static_cast<std::size_t>(t)] -=
+          static_cast<float>(std::sin(angle) * inv_len);
+    }
+  }
+}
+
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(FrequencyMaskTest, TabledCoefficientsEqualDirectTrigBitwise) {
+  // 600 is past the table's length cap, so it covers the untabled path.
+  for (const std::int64_t length : {2, 7, 32, 50, 100, 600}) {
+    for (const FrequencyMaskVariant variant :
+         {FrequencyMaskVariant::kAmplitude,
+          FrequencyMaskVariant::kHighFrequency, FrequencyMaskVariant::kRandom,
+          FrequencyMaskVariant::kNone}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "length " << length << " variant "
+                   << static_cast<int>(variant));
+      const std::vector<float> column =
+          RandomSeries(length, 1, 30 + static_cast<std::uint64_t>(length));
+      Rng rng(5);
+      const FrequencyMaskedColumn masked =
+          MaskFrequencyColumn(column, 0.5, variant, &rng);
+      EXPECT_EQ(masked.masked_bins.size(),
+                variant == FrequencyMaskVariant::kNone
+                    ? 0u
+                    : static_cast<std::size_t>(length / 2));
+      std::vector<float> cos_coef;
+      std::vector<float> sin_coef;
+      DirectTrigCoefficients(masked.masked_bins, length, &cos_coef,
+                             &sin_coef);
+      EXPECT_TRUE(SameBits(masked.cos_coef, cos_coef));
+      EXPECT_TRUE(SameBits(masked.sin_coef, sin_coef));
+
+      // The strided form on an interleaved copy of the column is the same
+      // computation.
+      std::vector<float> interleaved(static_cast<std::size_t>(3 * length));
+      for (std::int64_t t = 0; t < length; ++t) {
+        interleaved[static_cast<std::size_t>(3 * t + 1)] =
+            column[static_cast<std::size_t>(t)];
+      }
+      Rng strided_rng(5);
+      FrequencyMaskedColumn strided;
+      MaskFrequencyColumnInto(interleaved.data() + 1, length, 3, 0.5, variant,
+                              &strided_rng, &strided);
+      EXPECT_TRUE(SameBits(strided.base, masked.base));
+      EXPECT_TRUE(SameBits(strided.cos_coef, masked.cos_coef));
+      EXPECT_TRUE(SameBits(strided.sin_coef, masked.sin_coef));
+      EXPECT_EQ(strided.masked_bins, masked.masked_bins);
+    }
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -24,12 +25,15 @@ namespace tfmae::serve {
 namespace {
 
 constexpr std::int64_t kWindow = 16;
+// Not a power of two: its frequency masks run Bluestein's FFT and the
+// length caches of src/fft and src/masking.
+constexpr std::int64_t kBluesteinWindow = 20;
 constexpr std::int64_t kFeatures = 2;
 
-core::TfmaeConfig TestConfig() {
+core::TfmaeConfig TestConfig(std::int64_t window = kWindow) {
   core::TfmaeConfig config;
-  config.window = kWindow;
-  config.stride = kWindow;
+  config.window = window;
+  config.stride = window;
   config.model_dim = 16;
   config.num_layers = 1;
   config.num_heads = 2;
@@ -39,11 +43,18 @@ core::TfmaeConfig TestConfig() {
   return config;
 }
 
-// One fitted detector shared by every test in the suite (training once
-// keeps the suite fast; all tests treat it as read-only).
-core::TfmaeDetector* SharedDetector() {
-  static core::TfmaeDetector* detector = [] {
-    auto* d = new core::TfmaeDetector(TestConfig());
+// One fitted detector per window length, shared by every test in the suite
+// (training once keeps the suite fast; all tests treat it as read-only).
+// The map is never destroyed, so the detectors stay reachable at exit and
+// LeakSanitizer does not report them.
+core::TfmaeDetector* SharedDetector(std::int64_t window = kWindow) {
+  static std::mutex mu;
+  static auto* const detectors =
+      new std::map<std::int64_t, core::TfmaeDetector*>();
+  std::lock_guard<std::mutex> lock(mu);
+  core::TfmaeDetector*& detector = (*detectors)[window];
+  if (detector == nullptr) {
+    auto* d = new core::TfmaeDetector(TestConfig(window));
     data::TimeSeries train;
     train.length = 256;
     train.num_features = kFeatures;
@@ -58,8 +69,8 @@ core::TfmaeDetector* SharedDetector() {
       }
     }
     d->Fit(train);
-    return d;
-  }();
+    detector = d;
+  }
   return detector;
 }
 
@@ -75,9 +86,9 @@ std::vector<float> RowFor(std::int64_t stream, std::int64_t t) {
   return row;
 }
 
-core::StreamingOptions TestStreaming() {
+core::StreamingOptions TestStreaming(std::int64_t window = kWindow) {
   core::StreamingOptions options;
-  options.window = kWindow;
+  options.window = window;
   options.hop = 3;
   return options;
 }
@@ -86,12 +97,13 @@ core::StreamingOptions TestStreaming() {
 // sequential wrapper (one StreamingDetector per stream, shared detector).
 // Returns scores[stream] in push order, rescore pushes only — exactly the
 // windows the fleet server enqueues.
-std::vector<std::vector<float>> SequentialReference(std::int64_t streams,
-                                                    std::int64_t rows) {
+std::vector<std::vector<float>> SequentialReference(
+    std::int64_t streams, std::int64_t rows, std::int64_t window = kWindow) {
   std::vector<std::vector<float>> scores(
       static_cast<std::size_t>(streams));
   for (std::int64_t s = 0; s < streams; ++s) {
-    core::StreamingDetector stream(SharedDetector(), TestStreaming());
+    core::StreamingDetector stream(SharedDetector(window),
+                                   TestStreaming(window));
     std::int64_t since = 0;
     bool scored_once = false;
     for (std::int64_t t = 0; t < rows; ++t) {
@@ -136,36 +148,39 @@ std::vector<std::vector<float>> CollectScores(FleetServer* server,
 TEST(FleetServeTest, BatchedScoresBitwiseEqualSequentialAt124Threads) {
   const std::int64_t kStreams = 6;
   const std::int64_t kRows = 40;
-  const auto reference = SequentialReference(kStreams, kRows);
-
-  for (const int threads : {1, 2, 4}) {
-    ThreadPool::Instance().SetNumThreads(threads);
-    FleetOptions options;
-    options.streaming = TestStreaming();
-    options.batch_max = 4;
-    FleetServer server(SharedDetector(), options);
-    std::vector<std::int64_t> ids;
-    for (std::int64_t s = 0; s < kStreams; ++s) {
-      ids.push_back(server.OpenStream());
-    }
-    for (std::int64_t t = 0; t < kRows; ++t) {
+  for (const std::int64_t window : {kWindow, kBluesteinWindow}) {
+    const auto reference = SequentialReference(kStreams, kRows, window);
+    for (const int threads : {1, 2, 4}) {
+      ThreadPool::Instance().SetNumThreads(threads);
+      FleetOptions options;
+      options.streaming = TestStreaming(window);
+      options.batch_max = 4;
+      FleetServer server(SharedDetector(window), options);
+      std::vector<std::int64_t> ids;
       for (std::int64_t s = 0; s < kStreams; ++s) {
-        const AdmitStatus status = server.Push(ids[s], RowFor(s, t));
-        ASSERT_NE(status, AdmitStatus::kOverloaded);
+        ids.push_back(server.OpenStream());
       }
-    }
-    server.Drain();
-    const auto scores = CollectScores(&server, kStreams);
-    for (std::int64_t s = 0; s < kStreams; ++s) {
-      ASSERT_EQ(scores[s].size(), reference[s].size())
-          << "threads=" << threads << " stream=" << s;
-      for (std::size_t i = 0; i < scores[s].size(); ++i) {
-        // Bitwise, not approximate: batching must not change a single ULP.
-        EXPECT_EQ(scores[s][i], reference[s][i])
-            << "threads=" << threads << " stream=" << s << " i=" << i;
+      for (std::int64_t t = 0; t < kRows; ++t) {
+        for (std::int64_t s = 0; s < kStreams; ++s) {
+          const AdmitStatus status = server.Push(ids[s], RowFor(s, t));
+          ASSERT_NE(status, AdmitStatus::kOverloaded);
+        }
       }
+      server.Drain();
+      const auto scores = CollectScores(&server, kStreams);
+      for (std::int64_t s = 0; s < kStreams; ++s) {
+        ASSERT_EQ(scores[s].size(), reference[s].size())
+            << "window=" << window << " threads=" << threads
+            << " stream=" << s;
+        for (std::size_t i = 0; i < scores[s].size(); ++i) {
+          // Bitwise, not approximate: batching must not change a single ULP.
+          EXPECT_EQ(scores[s][i], reference[s][i])
+              << "window=" << window << " threads=" << threads
+              << " stream=" << s << " i=" << i;
+        }
+      }
+      EXPECT_GT(server.stats().batches, 0);
     }
-    EXPECT_GT(server.stats().batches, 0);
   }
   ThreadPool::Instance().SetNumThreads(1);
 }
