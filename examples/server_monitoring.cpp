@@ -1,12 +1,13 @@
 // Server-fleet monitoring: the SMD-style scenario from the paper's
 // introduction. Trains TFMAE on a week of multichannel server telemetry,
-// persists the model, then monitors new data chunk by chunk, raising alerts
-// on contiguous anomalous segments.
+// persists the fitted detector, restores it as a monitoring daemon would,
+// then monitors new data chunk by chunk, raising alerts on contiguous
+// anomalous segments.
 //
 //   $ ./build/examples/server_monitoring
 //
-// Demonstrates: multivariate data, checkpointing (SaveParameters /
-// LoadParameters), chunked scoring, and segment-level alerting.
+// Demonstrates: multivariate data, checkpointing (SaveCheckpoint /
+// LoadCheckpoint), chunked scoring, and segment-level alerting.
 #include <algorithm>
 #include <cstdio>
 
@@ -14,7 +15,6 @@
 #include "core/detector.h"
 #include "data/profiles.h"
 #include "eval/detection.h"
-#include "nn/serialize.h"
 #include "obs/export.h"
 
 int main(int argc, char** argv) {
@@ -33,16 +33,26 @@ int main(int argc, char** argv) {
   core::TfmaeConfig config;
   config.per_window_normalization = false;
   config.epochs = 30;
-  core::TfmaeDetector detector(config);
-  detector.Fit(dataset.train);
+  core::TfmaeDetector trainer(config);
+  trainer.Fit(dataset.train);
   std::printf("model trained: %lld parameters, %.1fs\n",
-              static_cast<long long>(detector.model()->NumParameters()),
-              detector.train_stats().fit_seconds);
+              static_cast<long long>(trainer.model()->NumParameters()),
+              trainer.train_stats().fit_seconds);
 
-  // ...and checkpoint it, as a monitoring daemon would on deploy.
-  const std::string checkpoint = "/tmp/tfmae_server_monitor.bin";
-  if (nn::SaveParameters(*detector.model(), checkpoint)) {
-    std::printf("checkpoint written to %s\n", checkpoint.c_str());
+  // ...checkpoint it on deploy: config, normalizer and weights in one file...
+  const std::string checkpoint = "/tmp/tfmae_server_monitor.ckpt";
+  if (!trainer.SaveCheckpoint(checkpoint)) {
+    std::fprintf(stderr, "cannot write checkpoint %s\n", checkpoint.c_str());
+    return 1;
+  }
+  std::printf("checkpoint written to %s\n", checkpoint.c_str());
+
+  // ...and rebuild the detector from that file alone, as the monitoring
+  // daemon does when it starts.
+  core::TfmaeDetector detector(core::TfmaeConfig{});
+  if (!detector.LoadCheckpoint(checkpoint)) {
+    std::fprintf(stderr, "cannot load checkpoint %s\n", checkpoint.c_str());
+    return 1;
   }
 
   // Calibrate the alert threshold on the validation stream.
@@ -60,7 +70,7 @@ int main(int argc, char** argv) {
   int alerts = 0;
   for (std::int64_t begin = 0; begin < dataset.test.length; begin += chunk) {
     const std::int64_t len = std::min(chunk, dataset.test.length - begin);
-    if (len < config.window) break;
+    if (len < detector.config().window) break;
     const data::TimeSeries window = dataset.test.Slice(begin, len);
     const std::vector<float> scores = detector.Score(window);
     const auto flags = eval::ApplyThreshold(scores, threshold);

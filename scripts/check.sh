@@ -34,6 +34,9 @@
 # binaries:
 #  * serve smoke (docs/SERVING.md): a 30-second 256-stream tfmae_serve
 #    replay with --verify (batched == sequential);
+#  * int8 checkpoint round trip: one tfmae_serve run calibrates int8 and
+#    saves the detector file, a second serves 64 streams from that file
+#    and must report int8 lanes and a bitwise --verify pass;
 #  * chaos soak (docs/RESILIENCE.md, "Serving resilience"):
 #    scripts/chaos_soak.py kill -9s a live tfmae_serve mid-run three times,
 #    restores each from its newest valid snapshot, re-feeds the tail, and
@@ -105,6 +108,19 @@ case "$MODE" in
     echo "== serve smoke: 256 streams, 30 seconds, batched == sequential =="
     "$BUILD_DIR/tools/tfmae_serve" \
       --streams=256 --threads=2 --seconds=30 --verify
+    echo "== int8 checkpoint round trip: save after calibration, serve from it =="
+    ckpt_dir="$(mktemp -d)"
+    "$BUILD_DIR/tools/tfmae_serve" --streams=1 --rows=0 --quant=int8 \
+      --save_checkpoint="$ckpt_dir/int8.ckpt"
+    out="$("$BUILD_DIR/tools/tfmae_serve" --checkpoint="$ckpt_dir/int8.ckpt" \
+      --quant=int8 --streams=64 --seconds=5 --verify)"
+    rm -rf "$ckpt_dir"
+    echo "$out"
+    if ! grep -q "precision   int8" <<<"$out" ||
+       ! grep -q "PASS (bitwise)" <<<"$out"; then
+      echo "int8 checkpoint round trip: want int8 lanes and PASS (bitwise)" >&2
+      exit 1
+    fi
     echo "== chaos soak: kill -9 mid-run, restore, union-of-logs bitwise =="
     python3 scripts/chaos_soak.py --serve-bin "$BUILD_DIR/tools/tfmae_serve"
     echo "== live smoke: 256 streams, mid-load scrape, /healthz 503 on drain =="

@@ -1,6 +1,5 @@
 #include "core/config_io.h"
 
-#include <fstream>
 #include <functional>
 #include <map>
 #include <sstream>
@@ -220,21 +219,6 @@ std::optional<TfmaeConfig> ConfigFromString(const std::string& text) {
     }
   }
   return config;
-}
-
-bool SaveConfig(const TfmaeConfig& config, const std::string& path) {
-  std::ofstream file(path);
-  if (!file) return false;
-  file << ConfigToString(config);
-  return static_cast<bool>(file);
-}
-
-std::optional<TfmaeConfig> LoadConfig(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) return std::nullopt;
-  std::stringstream buffer;
-  buffer << file.rdbuf();
-  return ConfigFromString(buffer.str());
 }
 
 }  // namespace tfmae::core

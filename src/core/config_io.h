@@ -20,10 +20,6 @@ std::string ConfigToString(const TfmaeConfig& config);
 /// unknown key.
 std::optional<TfmaeConfig> ConfigFromString(const std::string& text);
 
-/// File convenience wrappers. Return false / nullopt on I/O failure.
-bool SaveConfig(const TfmaeConfig& config, const std::string& path);
-std::optional<TfmaeConfig> LoadConfig(const std::string& path);
-
 }  // namespace tfmae::core
 
 #endif  // TFMAE_CORE_CONFIG_IO_H_

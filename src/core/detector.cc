@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 
 #include "core/config_io.h"
@@ -15,6 +14,7 @@
 #include "obs/trace.h"
 #include "tensor/ops.h"
 #include "tensor/quant_kernels.h"
+#include "util/checkpoint_file.h"
 #include "util/crc32.h"
 #include "util/fault.h"
 #include "util/logging.h"
@@ -23,6 +23,11 @@
 
 namespace tfmae::core {
 namespace {
+
+// Sections of the detector file SaveCheckpoint writes. The quant_spec and
+// score_ref sections (kQuantSpecSection, kScoreRefSection) are optional.
+constexpr char kConfigSection[] = "config";
+constexpr char kNormSection[] = "norm";
 
 // Fingerprint of the full training recipe; a checkpoint resumed under a
 // different config would silently diverge, so Resume() rejects mismatches.
@@ -454,82 +459,81 @@ void TfmaeDetector::FitInternal(const data::TimeSeries& train,
   fitted_ = true;
 }
 
-bool TfmaeDetector::SaveCheckpoint(const std::string& prefix) const {
+bool TfmaeDetector::SaveCheckpoint(const std::string& path) const {
   TFMAE_CHECK_MSG(fitted_, "SaveCheckpoint() called before Fit()");
-  if (!SaveConfig(config_, prefix + ".config")) return false;
-  {
-    std::ofstream norm(prefix + ".norm");
-    if (!norm) return false;
-    norm.precision(std::numeric_limits<float>::max_digits10);
-    norm << normalizer_.means().size() << '\n';
-    for (std::size_t i = 0; i < normalizer_.means().size(); ++i) {
-      norm << normalizer_.means()[i] << ' ' << normalizer_.stds()[i] << '\n';
-    }
-    if (!norm) return false;
+  const std::string config_text = ConfigToString(config_);
+  util::ByteWriter norm;
+  norm.FloatArray(normalizer_.means());
+  norm.FloatArray(normalizer_.stds());
+  util::CheckpointFileWriter file;
+  file.AddSection(kConfigSection, {config_text.begin(), config_text.end()});
+  file.AddSection(kNormSection, norm.Take());
+  file.AddSection(nn::kParametersSection, nn::EncodeParameters(*model_));
+  if (!quant_spec_.empty()) {
+    file.AddSection(kQuantSpecSection, EncodeQuantSpec(quant_spec_));
   }
-  if (!nn::SaveParameters(*model_, prefix + ".weights")) return false;
-  // The calibration spec travels with the checkpoint as its own container
-  // (<prefix>.quant) so a missing/corrupt quant file degrades the loaded
-  // detector to fp32 scoring instead of failing the weight load.
-  if (!quant_spec_.empty() && !SaveQuantSpec(quant_spec_, prefix + ".quant")) {
-    return false;
+  if (!score_reference_.empty()) {
+    file.AddSection(kScoreRefSection,
+                    EncodeScoreDistribution(score_reference_));
   }
-  // Same sidecar contract for the drift monitor's calibration score
-  // reference (<prefix>.drift): absent when never built, tolerated when
-  // missing at load.
-  if (!score_reference_.empty() &&
-      !SaveScoreDistribution(score_reference_, prefix + ".drift")) {
-    return false;
-  }
-  return true;
+  return file.WriteAtomic(path);
 }
 
-bool TfmaeDetector::LoadCheckpoint(const std::string& prefix) {
-  const auto config = LoadConfig(prefix + ".config");
-  if (!config.has_value()) return false;
+bool TfmaeDetector::LoadCheckpoint(const std::string& path) {
+  const auto file = util::CheckpointFileReader::Open(path);
+  if (!file.has_value()) return false;
+  const std::vector<char>* config_text = file->Section(kConfigSection);
+  const std::vector<char>* norm_payload = file->Section(kNormSection);
+  const std::vector<char>* params = file->Section(nn::kParametersSection);
+  if (config_text == nullptr || norm_payload == nullptr || params == nullptr) {
+    return false;
+  }
 
-  // Everything is loaded into locals and committed only once the weights
-  // load, so a failed load leaves this detector exactly as it was. The
-  // row count is not trusted for sizing: rows are read until the count is
-  // reached, and a short file fails.
-  std::ifstream norm(prefix + ".norm");
-  std::size_t count = 0;
-  if (!(norm >> count) || count == 0) return false;
+  // Every section decodes into locals, committed only once all of them
+  // have, so a failed load leaves this detector exactly as it was. The
+  // config and the statistics are checked before use: the model
+  // constructors and SetStatistics CHECK their arguments, and a CHECK
+  // aborts.
+  const auto config =
+      ConfigFromString(std::string(config_text->begin(), config_text->end()));
+  if (!config.has_value() || !TfmaeModel::ConfigIsBuildable(*config)) {
+    return false;
+  }
+  util::ByteReader norm(*norm_payload);
   std::vector<float> means;
   std::vector<float> stds;
-  float mean = 0.0f;
-  float stddev = 0.0f;
-  while (means.size() < count && norm >> mean >> stddev) {
-    means.push_back(mean);
-    stds.push_back(stddev);
+  const auto positive = [](float s) { return s > 0.0f; };
+  if (!norm.FloatArray(&means) || !norm.FloatArray(&stds) || !norm.AtEnd() ||
+      means.empty() || means.size() != stds.size() ||
+      !std::all_of(stds.begin(), stds.end(), positive)) {
+    return false;
   }
-  if (means.size() != count) return false;
-
+  // The optional sections: absent means none, present but undecodable
+  // fails the load.
+  QuantSpec quant_spec;
+  const std::vector<char>* quant_payload = file->Section(kQuantSpecSection);
+  if (quant_payload != nullptr &&
+      !DecodeQuantSpec(*quant_payload, &quant_spec)) {
+    return false;
+  }
+  ScoreDistribution score_reference;
+  const std::vector<char>* score_payload = file->Section(kScoreRefSection);
+  if (score_payload != nullptr &&
+      !DecodeScoreDistribution(*score_payload, &score_reference)) {
+    return false;
+  }
   Rng rng(config->seed);
-  auto model = std::make_unique<TfmaeModel>(static_cast<std::int64_t>(count),
-                                            *config, &rng);
-  if (!nn::LoadParameters(model.get(), prefix + ".weights")) return false;
+  auto model = std::make_unique<TfmaeModel>(
+      static_cast<std::int64_t>(means.size()), *config, &rng);
+  if (!nn::DecodeParameters(model.get(), *params)) return false;
 
   config_ = *config;
   rng_ = rng;
   normalizer_.SetStatistics(std::move(means), std::move(stds));
   model_ = std::move(model);
   plan_.reset();  // loaded weights: any captured plan is stale
-  quant_spec_ = QuantSpec{};
-  std::string quant_error;
-  if (!LoadQuantSpec(prefix + ".quant", &quant_spec_, &quant_error)) {
-    // Missing or corrupt calibration: degrade to fp32 scoring; int8 mode
-    // will count a fallback per Score() call until re-calibrated.
-    quant_spec_ = QuantSpec{};
-  }
-  score_reference_ = ScoreDistribution{};
-  std::string drift_error;
-  if (!LoadScoreDistribution(prefix + ".drift", &score_reference_,
-                             &drift_error)) {
-    // Missing or corrupt reference: drift monitoring stays off until the
-    // server rebuilds one from calibration scores.
-    score_reference_ = ScoreDistribution{};
-  }
+  quant_spec_ = std::move(quant_spec);
+  score_reference_ = std::move(score_reference);
   optimizer_.reset();  // a loaded detector scores; re-Fit to train further
   fitted_ = true;
   return true;

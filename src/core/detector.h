@@ -140,7 +140,7 @@ class TfmaeDetector : public AnomalyDetector {
   /// Runs the calibration pass: slices `series` into scoring windows,
   /// replays them through a fp32 plan with activation observers, and
   /// records per-channel absmax ranges into the detector's QuantSpec
-  /// (persisted by SaveCheckpoint as <prefix>.quant). Requires Fit().
+  /// (SaveCheckpoint persists it). Requires Fit().
   /// Returns false — spec untouched — with a reason in `error`.
   bool Calibrate(const data::TimeSeries& series, std::string* error = nullptr);
 
@@ -152,23 +152,25 @@ class TfmaeDetector : public AnomalyDetector {
   std::int64_t quant_fallbacks() const { return quant_fallbacks_; }
 
   /// Calibration score reference for the online drift monitor (core/drift.h).
-  /// Persisted by SaveCheckpoint as <prefix>.drift; like the quant sidecar,
-  /// a missing or corrupt file degrades to "no reference" on load.
+  /// SaveCheckpoint persists it.
   const ScoreDistribution& score_reference() const { return score_reference_; }
   void SetScoreReference(ScoreDistribution dist);
   bool has_score_reference() const { return !score_reference_.empty(); }
 
-  /// Persists the complete fitted detector (config, normalizer statistics,
-  /// and network weights) under `prefix` (three files: <prefix>.config,
-  /// <prefix>.norm, <prefix>.weights). Requires Fit(). Returns false on I/O
-  /// failure.
-  bool SaveCheckpoint(const std::string& prefix) const;
+  /// Persists the complete fitted detector as one checkpoint container
+  /// (util/checkpoint_file.h) at `path`, in one atomic write. Its sections:
+  /// "config" (ConfigToString text), "norm" (the normalizer's means and
+  /// stds), "params" (nn::EncodeParameters), and, when present,
+  /// "quant_spec" and "score_ref". Requires Fit(). Returns false on I/O
+  /// failure; any previous file at `path` is then left whole.
+  bool SaveCheckpoint(const std::string& path) const;
 
-  /// Restores a detector saved by SaveCheckpoint. The returned detector is
-  /// ready to Score() without re-fitting. Returns false on failure and
-  /// leaves this detector exactly as it was (a fitted detector still scores
-  /// with its previous weights).
-  bool LoadCheckpoint(const std::string& prefix);
+  /// Restores a detector saved by SaveCheckpoint, ready to Score() without
+  /// re-fitting. An absent optional section means none. Returns false on a
+  /// missing or corrupt file, a missing or undecodable section, or a config
+  /// that cannot build a model, and then leaves this detector exactly as it
+  /// was (a fitted detector still scores with its previous weights).
+  bool LoadCheckpoint(const std::string& path);
 
  private:
   /// Shared body of Fit/Resume. `resume_from` (may be null) is a validated

@@ -97,27 +97,4 @@ bool DecodeScoreDistribution(const std::vector<char>& payload,
   return true;
 }
 
-bool SaveScoreDistribution(const ScoreDistribution& dist,
-                           const std::string& path) {
-  util::CheckpointFileWriter writer;
-  writer.AddSection(kScoreRefSection, EncodeScoreDistribution(dist));
-  return writer.WriteAtomic(path);
-}
-
-bool LoadScoreDistribution(const std::string& path, ScoreDistribution* dist,
-                           std::string* error) {
-  auto reader = util::CheckpointFileReader::Open(path, error);
-  if (!reader.has_value()) return false;
-  const std::vector<char>* payload = reader->Section(kScoreRefSection);
-  if (payload == nullptr) {
-    if (error != nullptr) *error = "drift: no score_ref section in " + path;
-    return false;
-  }
-  if (!DecodeScoreDistribution(*payload, dist)) {
-    if (error != nullptr) *error = "drift: score_ref payload is corrupt";
-    return false;
-  }
-  return true;
-}
-
 }  // namespace tfmae::core

@@ -8,15 +8,14 @@
 // two-sample Kolmogorov-Smirnov distance (obs::KsDistance) and raises a
 // `serve.drift` ledger event when the distance crosses the alarm threshold.
 //
-// The reference is persisted as its own CRC'd section ("score_ref") in a
-// PR 4 checkpoint container (<prefix>.drift next to the .weights file),
-// mirroring the QuantSpec sidecar: a missing or corrupt file degrades to
-// "no drift monitoring" instead of failing the load.
+// The reference is persisted as the optional "score_ref" section of the
+// detector file (TfmaeDetector::SaveCheckpoint); a detector loaded without
+// one has no drift reference until the server builds one from calibration
+// scores.
 #ifndef TFMAE_CORE_DRIFT_H_
 #define TFMAE_CORE_DRIFT_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace tfmae::core {
@@ -34,10 +33,10 @@ struct ScoreDistribution {
 };
 
 /// Default bin count: fine enough that KsDistance resolves a shifted score
-/// distribution, coarse enough that the sidecar stays a few hundred bytes.
+/// distribution, coarse enough that the section stays a few hundred bytes.
 inline constexpr int kScoreDistributionBins = 64;
 
-/// Section name inside the checkpoint container.
+/// Section name inside the detector file.
 inline constexpr char kScoreRefSection[] = "score_ref";
 
 /// Bins `scores` into a `bins`-bucket histogram spanning [min, max] of the
@@ -55,22 +54,10 @@ int ScoreDistributionBin(const ScoreDistribution& dist, double value);
 /// format, versioned).
 std::vector<char> EncodeScoreDistribution(const ScoreDistribution& dist);
 
-/// Bounds-checked decode; returns false on truncation, version skew, a
-/// non-finite range, or an implausible bin count (the caller treats that as
-/// "no reference").
+/// Bounds-checked decode; returns false (`dist` untouched) on truncation,
+/// version skew, a non-finite range, or an implausible bin count.
 bool DecodeScoreDistribution(const std::vector<char>& payload,
                              ScoreDistribution* dist);
-
-/// Writes `dist` as a "score_ref" section in a checkpoint container at
-/// `path` (atomic tmp+rename). Returns false on I/O failure.
-bool SaveScoreDistribution(const ScoreDistribution& dist,
-                           const std::string& path);
-
-/// Loads a container written by SaveScoreDistribution. Returns false — with
-/// a reason in `error` if non-null — on a missing file, a corrupt
-/// container/section, or a decode failure; `dist` is untouched then.
-bool LoadScoreDistribution(const std::string& path, ScoreDistribution* dist,
-                           std::string* error = nullptr);
 
 }  // namespace tfmae::core
 

@@ -45,6 +45,15 @@ TfmaeModel::TfmaeModel(std::int64_t num_features, const TfmaeConfig& config,
   RegisterModule("frequency_decoder", &frequency_decoder_);
 }
 
+bool TfmaeModel::ConfigIsBuildable(const TfmaeConfig& config) {
+  const auto ratio_ok = [](double r) { return r >= 0.0 && r < 1.0; };
+  return config.model_dim >= 1 && config.num_heads >= 1 &&
+         config.model_dim % config.num_heads == 0 && config.num_layers >= 1 &&
+         config.ff_hidden >= 1 && config.window >= 2 &&
+         config.cv_window >= 1 && ratio_ok(config.temporal_mask_ratio) &&
+         ratio_ok(config.frequency_mask_ratio);
+}
+
 std::vector<int> TfmaeModel::ScoreHeadParameterIndices() const {
   const std::string last = "layer" + std::to_string(config_.num_layers - 1);
   const std::string temporal_prefix = "temporal_decoder." + last + ".";

@@ -37,6 +37,13 @@ class TfmaeModel : public nn::Module {
  public:
   TfmaeModel(std::int64_t num_features, const TfmaeConfig& config, Rng* rng);
 
+  /// True when `config` meets every precondition the constructor and
+  /// PrepareWindow TFMAE_CHECK: positive dimensions, num_layers >= 1,
+  /// model_dim divisible by num_heads, window >= 2, cv_window >= 1 and mask
+  /// ratios in [0, 1). Check a config read from a file with it before
+  /// building a model, since a failed CHECK aborts.
+  static bool ConfigIsBuildable(const TfmaeConfig& config);
+
   /// The two views of Eq. (14)-(16): temporal P^(L) and frequency F^(L),
   /// both [window, model_dim].
   struct Views {

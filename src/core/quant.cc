@@ -71,28 +71,6 @@ bool DecodeQuantSpec(const std::vector<char>& payload, QuantSpec* spec) {
   return true;
 }
 
-bool SaveQuantSpec(const QuantSpec& spec, const std::string& path) {
-  util::CheckpointFileWriter writer;
-  writer.AddSection(kQuantSpecSection, EncodeQuantSpec(spec));
-  return writer.WriteAtomic(path);
-}
-
-bool LoadQuantSpec(const std::string& path, QuantSpec* spec,
-                   std::string* error) {
-  auto reader = util::CheckpointFileReader::Open(path, error);
-  if (!reader.has_value()) return false;
-  const std::vector<char>* payload = reader->Section(kQuantSpecSection);
-  if (payload == nullptr) {
-    if (error != nullptr) *error = "quant: no quant_spec section in " + path;
-    return false;
-  }
-  if (!DecodeQuantSpec(*payload, spec)) {
-    if (error != nullptr) *error = "quant: quant_spec payload is corrupt";
-    return false;
-  }
-  return true;
-}
-
 bool CalibrateQuantSpec(const TfmaeModel& model,
                         const std::vector<MaskedWindow>& windows,
                         std::int64_t num_features, QuantSpec* spec,

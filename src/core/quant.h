@@ -10,10 +10,9 @@
 // (capture::NodeInfo::weight_index), which survives save/load because
 // parameter order is the construction order of the network.
 //
-// The spec is persisted as its own CRC'd section ("quant_spec") in a PR 4
-// checkpoint container (<prefix>.quant next to the .weights file), so a
-// missing or corrupt calibration file degrades to fp32 scoring instead of
-// failing the load.
+// The spec is persisted as the optional "quant_spec" section of the
+// detector file (TfmaeDetector::SaveCheckpoint); a detector loaded without
+// one scores fp32 until calibrated.
 #ifndef TFMAE_CORE_QUANT_H_
 #define TFMAE_CORE_QUANT_H_
 
@@ -81,26 +80,16 @@ struct QuantSpec {
   }
 };
 
-/// Section name inside the checkpoint container.
+/// Section name inside the detector file.
 inline constexpr char kQuantSpecSection[] = "quant_spec";
 
 /// Serializes a QuantSpec into a section payload (ByteWriter format,
 /// versioned).
 std::vector<char> EncodeQuantSpec(const QuantSpec& spec);
 
-/// Bounds-checked decode; returns false on any truncation, version skew, or
-/// implausible length (the caller treats that as "no calibration").
+/// Bounds-checked decode; returns false (`spec` untouched) on any
+/// truncation, version skew, or implausible length.
 bool DecodeQuantSpec(const std::vector<char>& payload, QuantSpec* spec);
-
-/// Writes `spec` as a "quant_spec" section in a checkpoint container at
-/// `path` (atomic tmp+rename). Returns false on I/O failure.
-bool SaveQuantSpec(const QuantSpec& spec, const std::string& path);
-
-/// Loads a QuantSpec container written by SaveQuantSpec. Returns false —
-/// with a reason in `error` if non-null — on a missing file, a corrupt
-/// container/section, or a decode failure; `spec` is untouched then.
-bool LoadQuantSpec(const std::string& path, QuantSpec* spec,
-                   std::string* error = nullptr);
 
 /// Runs `windows` through a freshly captured fp32 inference plan with
 /// absmax/Welford observers on every weight-bearing matmul input and fills

@@ -78,7 +78,7 @@ struct StreamingResult {
 };
 
 /// Cumulative per-stream health (mirrors the `streaming.degraded.*`
-/// counters, but available without an observability build).
+/// counters, but counted with TFMAE_OBS off too).
 struct StreamHealth {
   std::int64_t rows_scored = 0;
   std::int64_t rows_warmup = 0;

@@ -55,18 +55,4 @@ bool DecodeParameters(Module* module, const std::vector<char>& payload) {
   return true;
 }
 
-bool SaveParameters(const Module& module, const std::string& path) {
-  util::CheckpointFileWriter writer;
-  writer.AddSection(kParametersSection, EncodeParameters(module));
-  return writer.WriteAtomic(path);
-}
-
-bool LoadParameters(Module* module, const std::string& path) {
-  const auto reader = util::CheckpointFileReader::Open(path);
-  if (!reader.has_value()) return false;
-  const std::vector<char>* payload = reader->Section(kParametersSection);
-  if (payload == nullptr) return false;
-  return DecodeParameters(module, *payload);
-}
-
 }  // namespace tfmae::nn

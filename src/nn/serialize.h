@@ -1,19 +1,15 @@
-// Crash-safe checkpointing of module parameters.
+// Byte-level (de)serialization of module parameters.
 //
-// Weights persist inside the CRC-checked sectioned container of
-// util/checkpoint_file.h (magic "TFMAECKP"): SaveParameters writes one
-// "params" section and commits it with an atomic temp-file+rename, so a
-// crash mid-save can never tear an existing checkpoint, and LoadParameters
-// rejects truncated, bit-flipped, wrong-magic, and wrong-version files as a
-// unit (docs/RESILIENCE.md).
-//
-// The section payload is exposed as a byte-level Encode/Decode pair so the
-// full TrainingCheckpoint bundle (core/checkpoint.h) can embed weights next
-// to optimizer and RNG state in a single atomic file.
+// EncodeParameters/DecodeParameters produce and consume the "params"
+// section payload that both CRC-checked containers of util/checkpoint_file.h
+// carry: the detector file (TfmaeDetector::SaveCheckpoint) and the
+// TrainingCheckpoint bundle (core/checkpoint.h), which stores it next to
+// optimizer and RNG state. The container supplies atomic writes and
+// corruption detection (docs/RESILIENCE.md).
 //
 // Payload layout: u64 count, then per parameter { string name, u64 numel,
-// numel float32 values }. Loading matches by name and fails (returns false)
-// on any missing parameter or element-count mismatch, so checkpoints are
+// numel float32 values }. Decoding matches by name and fails (returns false)
+// on any missing parameter or element-count mismatch, so payloads are
 // portable only across runs of the same architecture.
 #ifndef TFMAE_NN_SERIALIZE_H_
 #define TFMAE_NN_SERIALIZE_H_
@@ -25,7 +21,7 @@
 
 namespace tfmae::nn {
 
-/// Section name under which SaveParameters stores the weight payload.
+/// Section name under which containers store the weight payload.
 inline constexpr char kParametersSection[] = "params";
 
 /// Serializes all named parameters of `module` into a byte payload.
@@ -35,15 +31,6 @@ std::vector<char> EncodeParameters(const Module& module);
 /// parameter of the module must be present with a matching element count;
 /// returns false (module unchanged) otherwise.
 bool DecodeParameters(Module* module, const std::vector<char>& payload);
-
-/// Writes all named parameters of `module` to `path` (atomic replace).
-/// Returns false on I/O failure — any previous file at `path` is kept.
-bool SaveParameters(const Module& module, const std::string& path);
-
-/// Loads a checkpoint written by SaveParameters into `module`. Returns
-/// false on I/O failure, corruption (checksum/magic/version), or an
-/// architecture mismatch.
-bool LoadParameters(Module* module, const std::string& path);
 
 }  // namespace tfmae::nn
 

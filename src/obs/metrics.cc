@@ -45,6 +45,15 @@ std::uint64_t HistogramBucketUpperBound(int bucket) {
   return (std::uint64_t{1} << bucket) - 1;
 }
 
+void HistogramSnapshot::Record(std::uint64_t value, std::uint64_t n) {
+  if (n == 0) return;
+  buckets[HistogramBucket(value)] += n;
+  min = count == 0 ? value : std::min(min, value);
+  max = std::max(max, value);
+  count += n;
+  sum += value * n;
+}
+
 double HistogramSnapshot::Mean() const {
   return count == 0 ? 0.0
                     : static_cast<double>(sum) / static_cast<double>(count);

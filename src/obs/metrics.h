@@ -22,8 +22,8 @@
 // `tensor.gemm.flops`, `core.streaming.push.time_ns`. Registration is
 // idempotent — looking up an existing name returns the existing id.
 //
-// The registry is always compiled; only the instrumentation macros in
-// obs/trace.h compile away in non-observability builds.
+// The registry is always compiled, and so is every instrumentation macro
+// in obs/trace.h; a macro site records only while TFMAE_OBS is on.
 #ifndef TFMAE_OBS_METRICS_H_
 #define TFMAE_OBS_METRICS_H_
 
@@ -75,6 +75,10 @@ struct HistogramSnapshot {
   std::uint64_t max = 0;
   std::uint64_t buckets[kHistogramBuckets] = {};
 
+  /// Adds `n` samples of `value`, bucketed as the registry buckets them.
+  /// For a histogram kept outside the registry (under its owner's lock).
+  void Record(std::uint64_t value, std::uint64_t n = 1);
+
   double Mean() const;
   /// Upper-bound estimate of the p-quantile (p in [0,1]) from the bucket
   /// CDF; exact to within the factor-2 bucket resolution.
@@ -83,7 +87,8 @@ struct HistogramSnapshot {
   /// the p-th sample and interpolates log-linearly inside it (bucket b >= 1
   /// spans [2^(b-1), 2^b), so the interpolated value is 2^(b-1+f)), clamped
   /// to the observed [min, max]. Smoother than Percentile() for dashboards
-  /// and the bench gate; same determinism (pure function of the buckets).
+  /// and the benchmark's per-layer p50s; same determinism (pure function of
+  /// the buckets).
   double Quantile(double p) const;
 };
 

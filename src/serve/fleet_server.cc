@@ -50,47 +50,12 @@ std::uint64_t NowNs() {
           .count());
 }
 
-int Log2Bucket(std::uint64_t v) {
-  int b = 0;
-  while (v > 1 && b < 63) {
-    v >>= 1;
-    ++b;
-  }
-  return b;
-}
-
 void AtomicMax(std::atomic<std::int64_t>* target, std::int64_t value) {
   std::int64_t cur = target->load(std::memory_order_relaxed);
   while (cur < value &&
          !target->compare_exchange_weak(cur, value,
                                         std::memory_order_relaxed)) {
   }
-}
-
-/// Quantile over a fixed log2 histogram with linear interpolation inside a
-/// bucket (the obs exporters' scheme), clamped to the observed min/max.
-double HistogramQuantile(const std::uint64_t* counts, int buckets,
-                         std::uint64_t min_v, std::uint64_t max_v, double p) {
-  std::uint64_t total = 0;
-  for (int b = 0; b < buckets; ++b) total += counts[b];
-  if (total == 0) return 0.0;
-  const double target = p * static_cast<double>(total);
-  double cumulative = 0.0;
-  for (int b = 0; b < buckets; ++b) {
-    const double count = static_cast<double>(counts[b]);
-    if (count == 0.0) continue;
-    if (cumulative + count >= target) {
-      const double lo = static_cast<double>(1ULL << b);
-      const double hi = lo * 2.0;
-      const double frac = (target - cumulative) / count;
-      double v = lo + (hi - lo) * frac;
-      v = std::max(v, static_cast<double>(min_v));
-      v = std::min(v, static_cast<double>(max_v));
-      return v;
-    }
-    cumulative += count;
-  }
-  return static_cast<double>(max_v);
 }
 
 void JsonField(std::string* out, const char* key, const std::string& value) {
@@ -201,8 +166,8 @@ FleetServer::FleetServer(core::TfmaeDetector* detector, FleetOptions options)
   const std::string config_text = core::ConfigToString(detector_->config());
   config_crc_ = util::Crc32(config_text.data(), config_text.size());
   // Drift monitor reference: the detector's persisted calibration score
-  // distribution when it carries one (<prefix>.drift sidecar); otherwise
-  // CalibrateThreshold or SetDriftReference installs one later.
+  // distribution when it carries one (its file's score_ref section);
+  // otherwise CalibrateThreshold or SetDriftReference installs one later.
   if (detector_->has_score_reference()) {
     drift_ref_ = detector_->score_reference();
   }
@@ -652,10 +617,7 @@ void FleetServer::AccountBatch(const std::vector<Request>& batch,
       stage_score_sum_ns_ += score_share;
       stage_result_sum_ns_ += result_share;
       if (request.t_admit_ns != 0 && t_done > request.t_admit_ns) {
-        const std::uint64_t e2e = t_done - request.t_admit_ns;
-        e2e_counts_[Log2Bucket(e2e)] += 1;
-        if (e2e_min_ns_ == 0 || e2e < e2e_min_ns_) e2e_min_ns_ = e2e;
-        e2e_max_ns_ = std::max(e2e_max_ns_, e2e);
+        e2e_latency_ns_.Record(t_done - request.t_admit_ns);
       }
     }
   }
@@ -1210,12 +1172,8 @@ void FleetServer::RecordLatency(std::uint64_t ns_per_window,
     TFMAE_HISTOGRAM_RECORD("serve.score.window_ns", ns_per_window);
   }
   std::lock_guard<std::mutex> lock(latency_mu_);
-  latency_counts_[Log2Bucket(ns_per_window)] +=
-      static_cast<std::uint64_t>(windows);
-  if (latency_min_ns_ == 0 || ns_per_window < latency_min_ns_) {
-    latency_min_ns_ = ns_per_window;
-  }
-  latency_max_ns_ = std::max(latency_max_ns_, ns_per_window);
+  window_latency_ns_.Record(ns_per_window,
+                            static_cast<std::uint64_t>(windows));
 }
 
 ServeStats FleetServer::stats() const {
@@ -1243,29 +1201,19 @@ ServeStats FleetServer::stats() const {
   s.snapshot_index = snapshot_index();
   s.watchdog_stalls = watchdog_stalls_.load(std::memory_order_relaxed);
   {
-    // Quantiles from the log2 histograms (see HistogramQuantile), clamped
-    // to observed min/max. A const_cast-free copy is not worth a second
-    // mutex: stats() is an observer called off the hot path.
-    std::lock_guard<std::mutex> lock(
-        const_cast<std::mutex&>(latency_mu_));
-    s.p50_window_ns = HistogramQuantile(latency_counts_, kLatencyBuckets,
-                                        latency_min_ns_, latency_max_ns_, 0.50);
-    s.p95_window_ns = HistogramQuantile(latency_counts_, kLatencyBuckets,
-                                        latency_min_ns_, latency_max_ns_, 0.95);
-    s.p99_window_ns = HistogramQuantile(latency_counts_, kLatencyBuckets,
-                                        latency_min_ns_, latency_max_ns_, 0.99);
+    std::lock_guard<std::mutex> lock(latency_mu_);
+    s.p50_window_ns = window_latency_ns_.Quantile(0.50);
+    s.p95_window_ns = window_latency_ns_.Quantile(0.95);
+    s.p99_window_ns = window_latency_ns_.Quantile(0.99);
     s.stage_queue_ns = static_cast<std::int64_t>(stage_queue_sum_ns_);
     s.stage_batch_ns = static_cast<std::int64_t>(stage_batch_sum_ns_);
     s.stage_score_ns = static_cast<std::int64_t>(stage_score_sum_ns_);
     s.stage_result_ns = static_cast<std::int64_t>(stage_result_sum_ns_);
     s.stage_total_ns = s.stage_queue_ns + s.stage_batch_ns +
                        s.stage_score_ns + s.stage_result_ns;
-    s.p50_e2e_ns = HistogramQuantile(e2e_counts_, kLatencyBuckets, e2e_min_ns_,
-                                     e2e_max_ns_, 0.50);
-    s.p95_e2e_ns = HistogramQuantile(e2e_counts_, kLatencyBuckets, e2e_min_ns_,
-                                     e2e_max_ns_, 0.95);
-    s.p99_e2e_ns = HistogramQuantile(e2e_counts_, kLatencyBuckets, e2e_min_ns_,
-                                     e2e_max_ns_, 0.99);
+    s.p50_e2e_ns = e2e_latency_ns_.Quantile(0.50);
+    s.p95_e2e_ns = e2e_latency_ns_.Quantile(0.95);
+    s.p99_e2e_ns = e2e_latency_ns_.Quantile(0.99);
   }
   s.slo_latency_breaches =
       slo_latency_breaches_.load(std::memory_order_relaxed);
@@ -1278,13 +1226,13 @@ ServeStats FleetServer::stats() const {
   s.drift_checks = drift_checks_.load(std::memory_order_relaxed);
   s.drift_alarms = drift_alarms_.load(std::memory_order_relaxed);
   {
-    std::lock_guard<std::mutex> lock(const_cast<std::mutex&>(drift_mu_));
+    std::lock_guard<std::mutex> lock(drift_mu_);
     s.drift_ks = drift_ks_;
   }
   s.quant_fallbacks = quant_lane_fallbacks_.load(std::memory_order_relaxed) +
                       detector_->quant_fallbacks();
   {
-    std::lock_guard<std::mutex> lock(const_cast<std::mutex&>(score_mu_));
+    std::lock_guard<std::mutex> lock(score_mu_);
     for (const auto& lane : lanes_) {
       if (lane->plan == nullptr) continue;
       ++s.plan_lanes;

@@ -55,6 +55,7 @@
 #include "core/detector.h"
 #include "core/drift.h"
 #include "core/streaming.h"
+#include "obs/metrics.h"
 #include "serve/fleet_snapshot.h"
 
 namespace tfmae::serve {
@@ -196,8 +197,8 @@ struct ScoredWindow {
   bool shed = false;
 };
 
-/// Cumulative serving counters (always available; the obs registry mirrors
-/// them as `serve.*` metrics in observability builds).
+/// Cumulative serving counters (always counted; the obs registry mirrors
+/// them as `serve.*` metrics while TFMAE_OBS is on).
 struct ServeStats {
   std::int64_t streams = 0;
   std::int64_t rows_pushed = 0;        ///< rows absorbed into a stream
@@ -230,7 +231,7 @@ struct ServeStats {
   double p95_window_ns = 0.0;
   double p99_window_ns = 0.0;
   // Stage-attributed timeline sums (ns), mirrored by the `serve.stage.*`
-  // histograms in observability builds. Queue is each window's own
+  // histograms while TFMAE_OBS is on. Queue is each window's own
   // admit->pop wait; batch/score/result are the window's share of its
   // batch's prepare/score/commit phases. By construction
   //   stage_total_ns == stage_queue_ns + stage_batch_ns
@@ -299,7 +300,8 @@ class FleetServer {
   void set_threshold(float threshold);
   /// Threshold from calibration scores, as StreamingDetector does. Also
   /// builds the drift monitor's reference distribution from the same scores
-  /// when none was installed yet (detector sidecar or SetDriftReference).
+  /// when none was installed yet (the detector's score reference or
+  /// SetDriftReference).
   void CalibrateThreshold(const std::vector<float>& calibration_scores,
                           double anomaly_fraction);
 
@@ -442,7 +444,7 @@ class FleetServer {
   // One batched pass at a time: the process-wide ThreadPool supports a
   // single dispatching thread (util/thread_pool.h), so batch execution is
   // serialized here while ingest continues concurrently.
-  std::mutex score_mu_;
+  mutable std::mutex score_mu_;
   std::vector<std::unique_ptr<Lane>> lanes_;
   /// Phase-1 outputs, one per window of the largest batch so far; their
   /// buffers are reused batch after batch. Guarded by score_mu_.
@@ -493,22 +495,18 @@ class FleetServer {
   std::condition_variable watchdog_cv_;
   bool watchdog_stop_ = false;  ///< guarded by watchdog_mu_
 
-  // Per-window score latency: fixed log2 histogram (serve.score.window_ns),
-  // guarded by latency_mu_. The stage sums and the experienced-latency
+  // Per-window score latency (the registry's serve.score.window_ns, kept
+  // here too so that ServeStats counts with TFMAE_OBS off), guarded by
+  // latency_mu_. The stage sums and the experienced-latency
   // (admit->commit) histogram share the lock: all are written once per
   // batch from the accounting pass.
-  std::mutex latency_mu_;
-  static constexpr int kLatencyBuckets = 64;
-  std::uint64_t latency_counts_[kLatencyBuckets] = {};
-  std::uint64_t latency_min_ns_ = 0;
-  std::uint64_t latency_max_ns_ = 0;
+  mutable std::mutex latency_mu_;
+  obs::HistogramSnapshot window_latency_ns_;
   std::uint64_t stage_queue_sum_ns_ = 0;
   std::uint64_t stage_batch_sum_ns_ = 0;
   std::uint64_t stage_score_sum_ns_ = 0;
   std::uint64_t stage_result_sum_ns_ = 0;
-  std::uint64_t e2e_counts_[kLatencyBuckets] = {};
-  std::uint64_t e2e_min_ns_ = 0;
-  std::uint64_t e2e_max_ns_ = 0;
+  obs::HistogramSnapshot e2e_latency_ns_;
   bool drained_event_emitted_ = false;
 
   // Per-stream SLO accounting (rings live in each Entry, under entry.mu;
@@ -523,7 +521,7 @@ class FleetServer {
 
   // Online drift monitor (guarded by drift_mu_ except the two counters,
   // which stats() reads without it).
-  std::mutex drift_mu_;
+  mutable std::mutex drift_mu_;
   core::ScoreDistribution drift_ref_;
   std::vector<float> drift_ring_;  ///< newest drift_reservoir scores
   std::size_t drift_pos_ = 0;

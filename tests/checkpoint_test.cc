@@ -1,4 +1,5 @@
-// Tests for full-detector checkpointing (config + normalizer + weights) and
+// Tests for full-detector checkpointing (one container holding config,
+// normalizer, weights and the optional int8 spec and drift reference) and
 // the crash-safe training checkpoints of docs/RESILIENCE.md: corruption
 // detection and fallback, and bitwise-identical kill-and-resume at several
 // thread counts.
@@ -10,10 +11,13 @@
 #include <gtest/gtest.h>
 
 #include "core/checkpoint.h"
+#include "core/config_io.h"
 #include "core/detector.h"
 #include "data/generator.h"
 #include "nn/serialize.h"
+#include "util/checkpoint_file.h"
 #include "util/crc32.h"
+#include "util/fault.h"
 #include "util/thread_pool.h"
 
 namespace tfmae::core {
@@ -33,81 +37,193 @@ TfmaeConfig SmallConfig() {
   return config;
 }
 
-void RemoveCheckpoint(const std::string& prefix) {
-  std::remove((prefix + ".config").c_str());
-  std::remove((prefix + ".norm").c_str());
-  std::remove((prefix + ".weights").c_str());
+data::TimeSeries Signal(std::int64_t length, std::int64_t features,
+                        std::uint64_t seed) {
+  data::BaseSignalConfig signal;
+  signal.length = length;
+  signal.num_features = features;
+  signal.seed = seed;
+  return data::GenerateBaseSignal(signal);
+}
+
+// Rewrites the detector file at `path` with section `name` set to `payload`
+// (nullptr drops it), keeping every other section.
+void ReplaceSection(const std::string& path, const std::string& name,
+                    const std::vector<char>* payload) {
+  const auto file = util::CheckpointFileReader::Open(path);
+  ASSERT_TRUE(file.has_value()) << path;
+  util::CheckpointFileWriter writer;
+  for (const char* section : {"config", "norm", nn::kParametersSection,
+                              kQuantSpecSection, kScoreRefSection}) {
+    const std::vector<char>* kept =
+        section == name ? payload : file->Section(section);
+    if (kept != nullptr) writer.AddSection(section, *kept);
+  }
+  ASSERT_TRUE(writer.WriteAtomic(path));
+}
+
+std::string FreshDir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "/" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
 }
 
 TEST(CheckpointTest, RoundTripReproducesScoresExactly) {
-  data::BaseSignalConfig signal;
-  signal.length = 500;
-  signal.num_features = 3;
-  signal.seed = 111;
   // A channel far from zero exercises the normalizer statistics.
-  data::TimeSeries series = data::GenerateBaseSignal(signal);
+  data::TimeSeries series = Signal(500, 3, 111);
   for (std::int64_t t = 0; t < series.length; ++t) series.at(t, 2) += 40.0f;
   data::TimeSeries train = series.Slice(0, 350);
   data::TimeSeries test = series.Slice(350, 150);
 
   TfmaeDetector original(SmallConfig());
   original.Fit(train);
-  const std::string prefix = ::testing::TempDir() + "/tfmae_ckpt";
-  ASSERT_TRUE(original.SaveCheckpoint(prefix));
+  const std::string dir = FreshDir("tfmae_ckpt");
+  const std::string path = dir + "/detector.ckpt";
+  ASSERT_TRUE(original.SaveCheckpoint(path));
+  // One file at `path`: no sibling files, no leftover .tmp.
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(files, std::vector<std::string>{"detector.ckpt"});
 
   TfmaeDetector restored(TfmaeConfig{});  // different config; load overrides
-  ASSERT_TRUE(restored.LoadCheckpoint(prefix));
+  ASSERT_TRUE(restored.LoadCheckpoint(path));
   EXPECT_EQ(restored.config().window, 32);
   EXPECT_EQ(restored.config().model_dim, 16);
-
-  const auto expected = original.Score(test);
-  const auto actual = restored.Score(test);
-  ASSERT_EQ(expected.size(), actual.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_NEAR(actual[i], expected[i], 1e-6) << "t=" << i;
-  }
-  RemoveCheckpoint(prefix);
+  EXPECT_FALSE(restored.has_quant_spec());
+  EXPECT_FALSE(restored.has_score_reference());
+  EXPECT_EQ(restored.Score(test), original.Score(test));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CheckpointTest, LoadFailsOnMissingPieces) {
   TfmaeDetector detector(SmallConfig());
-  EXPECT_FALSE(detector.LoadCheckpoint("/nonexistent/prefix"));
+  EXPECT_FALSE(detector.LoadCheckpoint("/nonexistent/detector.ckpt"));
+  EXPECT_FALSE(detector.fitted());
 
-  // Config present but weights missing.
-  data::BaseSignalConfig signal;
-  signal.length = 200;
-  signal.num_features = 1;
-  signal.seed = 112;
+  const data::TimeSeries train = Signal(200, 1, 112);
   TfmaeDetector fitted(SmallConfig());
-  fitted.Fit(data::GenerateBaseSignal(signal));
-  const std::string prefix = ::testing::TempDir() + "/tfmae_partial";
-  ASSERT_TRUE(fitted.SaveCheckpoint(prefix));
+  fitted.Fit(train);
+  const std::vector<float> before = fitted.Score(train);
+  const std::string path = ::testing::TempDir() + "/tfmae_partial.ckpt";
+  const std::vector<char> garbage = {'x', 'x'};
+  util::ByteWriter zero_std;  // SetStatistics would CHECK-fail on it
+  zero_std.FloatArray({0.0f});
+  zero_std.FloatArray({0.0f});
+  const std::vector<char> zero_std_norm = zero_std.Take();
 
-  // A .norm row count far beyond the rows present fails the load instead
-  // of sizing a buffer from it.
-  const std::string huge = ::testing::TempDir() + "/tfmae_huge_norm";
-  ASSERT_TRUE(fitted.SaveCheckpoint(huge));
-  {
-    std::ofstream norm(huge + ".norm", std::ios::trunc);
-    norm << "100000000000000\n0 1\n";
+  // A missing required section, or any section present but undecodable,
+  // fails the whole load: the optional ones do not degrade to "none".
+  const std::vector<std::pair<std::string, const std::vector<char>*>> cases = {
+      {"config", nullptr},
+      {"norm", nullptr},
+      {"config", &garbage},
+      {nn::kParametersSection, nullptr},
+      {"norm", &garbage},
+      {"norm", &zero_std_norm},
+      {nn::kParametersSection, &garbage},
+      {kQuantSpecSection, &garbage},
+      {kScoreRefSection, &garbage}};
+  for (const auto& [section, payload] : cases) {
+    ASSERT_TRUE(fitted.SaveCheckpoint(path));
+    ReplaceSection(path, section, payload);
+    const std::string what =
+        section + (payload == nullptr ? " missing" : " undecodable");
+    TfmaeDetector loader(SmallConfig());
+    EXPECT_FALSE(loader.LoadCheckpoint(path)) << what;
+    EXPECT_FALSE(loader.fitted()) << what;
+    // A failed load leaves a fitted detector as it was: same weights, same
+    // scores, bitwise.
+    EXPECT_FALSE(fitted.LoadCheckpoint(path)) << what;
+    ASSERT_TRUE(fitted.fitted());
+    EXPECT_EQ(fitted.Score(train), before) << what;
   }
-  TfmaeDetector huge_loader(SmallConfig());
-  EXPECT_FALSE(huge_loader.LoadCheckpoint(huge));
-  EXPECT_FALSE(huge_loader.fitted());
-  RemoveCheckpoint(huge);
+  std::remove(path.c_str());
+}
 
-  std::remove((prefix + ".weights").c_str());
-  TfmaeDetector loader(SmallConfig());
-  EXPECT_FALSE(loader.LoadCheckpoint(prefix));
+// The model constructors and PrepareWindow CHECK their arguments, so a
+// config that cannot build a model must be refused before one is built:
+// num_heads 0 would divide by zero, and 3 does not divide model_dim 16.
+TEST(CheckpointTest, LoadRejectsConfigThatCannotBuildAModel) {
+  const data::TimeSeries train = Signal(200, 2, 113);
+  TfmaeDetector fitted(SmallConfig());
+  fitted.Fit(train);
+  const std::vector<float> before = fitted.Score(train);
+  const std::string path = ::testing::TempDir() + "/tfmae_bad_config.ckpt";
+  const std::vector<std::pair<std::string, void (*)(TfmaeConfig*)>> cases = {
+      {"num_heads 0", [](TfmaeConfig* c) { c->num_heads = 0; }},
+      {"num_heads 3", [](TfmaeConfig* c) { c->num_heads = 3; }},
+      {"num_layers 0", [](TfmaeConfig* c) { c->num_layers = 0; }},
+      {"window 1", [](TfmaeConfig* c) { c->window = 1; }},
+      {"mask ratio 1", [](TfmaeConfig* c) { c->frequency_mask_ratio = 1.0; }}};
+  for (const auto& [what, spoil] : cases) {
+    ASSERT_TRUE(fitted.SaveCheckpoint(path));
+    TfmaeConfig bad = SmallConfig();
+    spoil(&bad);
+    const std::string text = ConfigToString(bad);
+    const std::vector<char> payload(text.begin(), text.end());
+    ReplaceSection(path, "config", &payload);
+    TfmaeDetector loader(SmallConfig());
+    EXPECT_FALSE(loader.LoadCheckpoint(path)) << what;
+    EXPECT_FALSE(loader.fitted()) << what;
+    EXPECT_FALSE(fitted.LoadCheckpoint(path)) << what;
+    EXPECT_EQ(fitted.config().num_heads, 2) << what;
+    EXPECT_EQ(fitted.Score(train), before) << what;
+  }
+  std::remove(path.c_str());
+}
 
-  // A failed load leaves a fitted detector as it was: same weights, same
-  // scores, bitwise.
-  const data::TimeSeries test = data::GenerateBaseSignal(signal);
-  const std::vector<float> before = fitted.Score(test);
-  EXPECT_FALSE(fitted.LoadCheckpoint(prefix));
-  ASSERT_TRUE(fitted.fitted());
-  EXPECT_EQ(fitted.Score(test), before);
-  RemoveCheckpoint(prefix);
+// A save that fails part-way leaves the previous file whole: it loads as
+// the previous detector, bitwise.
+TEST(CheckpointTest, FailedSaveKeepsThePreviousFile) {
+  const data::TimeSeries test = Signal(150, 2, 116);
+  TfmaeDetector previous(SmallConfig());
+  previous.Fit(Signal(300, 2, 114));
+  TfmaeConfig other = SmallConfig();
+  other.seed = 7;
+  TfmaeDetector next(other);
+  next.Fit(Signal(300, 2, 115));
+  const std::string path = ::testing::TempDir() + "/tfmae_torn.ckpt";
+  ASSERT_TRUE(previous.SaveCheckpoint(path));
+  {
+    fault::ScopedFaults faults("io.checkpoint_write:#1");
+    EXPECT_FALSE(next.SaveCheckpoint(path));
+  }
+  TfmaeDetector loaded(SmallConfig());
+  ASSERT_TRUE(loaded.LoadCheckpoint(path));
+  EXPECT_EQ(loaded.config().seed, previous.config().seed);
+  EXPECT_EQ(loaded.Score(test), previous.Score(test));
+  std::remove(path.c_str());
+}
+
+// Saving a detector without an int8 spec or score reference over the file
+// of one that had both leaves neither behind.
+TEST(CheckpointTest, SaveDropsOptionalSectionsTheDetectorLacks) {
+  const data::TimeSeries train = Signal(300, 2, 117);
+  TfmaeDetector full(SmallConfig());
+  full.Fit(train);
+  std::string error;
+  ASSERT_TRUE(full.Calibrate(train, &error)) << error;
+  full.SetScoreReference(BuildScoreDistribution(full.Score(train)));
+  ASSERT_TRUE(full.has_quant_spec());
+  ASSERT_TRUE(full.has_score_reference());
+  TfmaeDetector bare(SmallConfig());
+  bare.Fit(train);
+
+  const std::string path = ::testing::TempDir() + "/tfmae_stale.ckpt";
+  ASSERT_TRUE(full.SaveCheckpoint(path));
+  TfmaeDetector loaded(SmallConfig());
+  ASSERT_TRUE(loaded.LoadCheckpoint(path));
+  EXPECT_TRUE(loaded.has_quant_spec());
+  EXPECT_TRUE(loaded.has_score_reference());
+
+  ASSERT_TRUE(bare.SaveCheckpoint(path));
+  ASSERT_TRUE(loaded.LoadCheckpoint(path));
+  EXPECT_FALSE(loaded.has_quant_spec());
+  EXPECT_FALSE(loaded.has_score_reference());
+  std::remove(path.c_str());
 }
 
 TEST(CheckpointTest, SaveBeforeFitDies) {
@@ -124,13 +240,6 @@ data::TimeSeries TrainSeries() {
   signal.num_features = 2;
   signal.seed = 321;
   return data::GenerateBaseSignal(signal);
-}
-
-std::string FreshDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
 }
 
 void CorruptByte(const std::string& path, std::size_t offset_from_end) {

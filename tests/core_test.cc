@@ -11,7 +11,6 @@
 #include "core/detector.h"
 #include "core/model.h"
 #include "data/generator.h"
-#include "nn/serialize.h"
 #include "tensor/ops.h"
 
 namespace tfmae::core {
@@ -340,33 +339,6 @@ TEST(TfmaeDetectorTest, DetectsPlantedSpikes) {
   EXPECT_GT(detector.train_stats().num_steps, 0);
   EXPECT_GT(detector.train_stats().fit_seconds, 0.0);
   EXPECT_GT(detector.train_stats().peak_tensor_bytes, 0);
-}
-
-TEST(TfmaeDetectorTest, ModelCheckpointRoundTrip) {
-  data::BaseSignalConfig signal;
-  signal.length = 300;
-  signal.num_features = 2;
-  signal.seed = 51;
-  data::TimeSeries train = data::GenerateBaseSignal(signal);
-  TfmaeConfig config = SmallConfig();
-  config.epochs = 1;
-  TfmaeDetector detector(config);
-  detector.Fit(train);
-
-  const std::string path = ::testing::TempDir() + "/tfmae_model.bin";
-  ASSERT_TRUE(nn::SaveParameters(*detector.model(), path));
-
-  TfmaeDetector reloaded(config);
-  reloaded.Fit(train);  // same seed -> same architecture; then overwrite
-  ASSERT_TRUE(nn::LoadParameters(reloaded.model(), path));
-  // Identical parameters -> identical scores.
-  const auto s1 = detector.Score(train);
-  const auto s2 = reloaded.Score(train);
-  ASSERT_EQ(s1.size(), s2.size());
-  for (std::size_t i = 0; i < s1.size(); ++i) {
-    EXPECT_NEAR(s1[i], s2[i], 1e-5);
-  }
-  std::remove(path.c_str());
 }
 
 TEST(RunProtocolTest, ProducesConsistentReport) {

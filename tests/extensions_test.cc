@@ -1,7 +1,6 @@
 // Tests for the deployment/extension features: THOC-lite, occlusion
 // attribution, and config (de)serialization.
 #include <cmath>
-#include <cstdio>
 
 #include <gtest/gtest.h>
 
@@ -128,17 +127,6 @@ TEST(ConfigIoTest, RejectsUnknownKeysAndBadValues) {
   EXPECT_FALSE(core::ConfigFromString("window = banana\n").has_value());
   EXPECT_FALSE(core::ConfigFromString("temporal_mask = nonsense\n").has_value());
   EXPECT_FALSE(core::ConfigFromString("just some text\n").has_value());
-}
-
-TEST(ConfigIoTest, FileRoundTrip) {
-  core::TfmaeConfig config;
-  config.epochs = 3;
-  const std::string path = ::testing::TempDir() + "/tfmae_config.txt";
-  ASSERT_TRUE(core::SaveConfig(config, path));
-  const auto loaded = core::LoadConfig(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->epochs, 3);
-  std::remove(path.c_str());
 }
 
 TEST(BatchAccumulationTest, BatchedTrainingStillLearns) {

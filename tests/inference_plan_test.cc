@@ -129,7 +129,7 @@ TEST(InferencePlanTest, BitwiseMatchesEagerOnAllProfilesAtAllThreadCounts) {
 }
 
 // A detector restored from a checkpoint captures a plan exactly like a
-// freshly fitted one (weights arrive via LoadParameters, not Fit).
+// freshly fitted one (weights arrive via LoadCheckpoint, not Fit).
 TEST(InferencePlanTest, CapturesAfterCheckpointRoundTrip) {
   EnvGuard guard;
   const data::TimeSeries train = TinySignal(192, 2, 11);
@@ -137,19 +137,16 @@ TEST(InferencePlanTest, CapturesAfterCheckpointRoundTrip) {
   TfmaeDetector fitted(TinyConfig());
   fitted.Fit(train);
 
-  const std::string prefix =
-      (std::filesystem::temp_directory_path() / "tfmae_plan_ckpt").string();
-  ASSERT_TRUE(fitted.SaveCheckpoint(prefix));
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "tfmae_plan.ckpt").string();
+  ASSERT_TRUE(fitted.SaveCheckpoint(path));
 
   TfmaeDetector planned(TinyConfig());
   TfmaeDetector eager(TinyConfig());
   eager.SetInferencePlanEnabled(false);
-  ASSERT_TRUE(planned.LoadCheckpoint(prefix));
-  ASSERT_TRUE(eager.LoadCheckpoint(prefix));
-  for (const char* suffix : {".config", ".norm", ".weights"}) {
-    std::error_code ec;
-    std::filesystem::remove(prefix + suffix, ec);
-  }
+  ASSERT_TRUE(planned.LoadCheckpoint(path));
+  ASSERT_TRUE(eager.LoadCheckpoint(path));
+  std::filesystem::remove(path);
 
   const std::vector<float> planned_scores = planned.Score(test);
   const std::vector<float> eager_scores = eager.Score(test);

@@ -1,7 +1,6 @@
 // Tests for the NN layer: module registry, layers, attention, transformer,
 // positional encoding, Adam optimization, and checkpoint round-trips.
 #include <cmath>
-#include <cstdio>
 
 #include <gtest/gtest.h>
 
@@ -256,31 +255,40 @@ TEST(AdamTest, ImportStateRejectsMismatchedShapes) {
 TEST(SerializeTest, SaveLoadRoundTrip) {
   Rng rng(9);
   TransformerStack original(2, 8, 2, 16, &rng);
-  const std::string path = ::testing::TempDir() + "/tfmae_ckpt.bin";
-  ASSERT_TRUE(SaveParameters(original, path));
+  const std::vector<char> payload = EncodeParameters(original);
 
   Rng rng2(1234);  // different init
   TransformerStack reloaded(2, 8, 2, 16, &rng2);
-  ASSERT_TRUE(LoadParameters(&reloaded, path));
+  ASSERT_TRUE(DecodeParameters(&reloaded, payload));
   const auto a = original.NamedParameters();
   const auto b = reloaded.NamedParameters();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].second.ToVector(), b[i].second.ToVector()) << a[i].first;
   }
-  std::remove(path.c_str());
 }
 
-TEST(SerializeTest, LoadFailsOnMissingFileOrGarbage) {
+// Every rejected payload leaves the module's weights as they were.
+TEST(SerializeTest, DecodeRejectsGarbageTruncationAndMismatch) {
   Rng rng(10);
   Linear model(2, 2, &rng);
-  EXPECT_FALSE(LoadParameters(&model, "/nonexistent/path.bin"));
-  const std::string path = ::testing::TempDir() + "/tfmae_garbage.bin";
-  FILE* f = std::fopen(path.c_str(), "wb");
-  std::fputs("not a checkpoint", f);
-  std::fclose(f);
-  EXPECT_FALSE(LoadParameters(&model, path));
-  std::remove(path.c_str());
+  const std::vector<float> before =
+      model.NamedParameters()[0].second.ToVector();
+  Rng other_rng(11);
+  const std::vector<char> payload = EncodeParameters(Linear(2, 2, &other_rng));
+
+  const std::string garbage = "not a parameter payload";
+  EXPECT_FALSE(DecodeParameters(&model, {}));
+  EXPECT_FALSE(DecodeParameters(&model, {garbage.begin(), garbage.end()}));
+  EXPECT_FALSE(DecodeParameters(
+      &model, {payload.begin(), payload.end() - 1}));  // truncated
+  std::vector<char> padded = payload;
+  padded.push_back('x');
+  EXPECT_FALSE(DecodeParameters(&model, padded));  // trailing bytes
+  Rng wide_rng(12);
+  EXPECT_FALSE(DecodeParameters(
+      &model, EncodeParameters(Linear(3, 2, &wide_rng))));  // shape mismatch
+  EXPECT_EQ(model.NamedParameters()[0].second.ToVector(), before);
 }
 
 }  // namespace

@@ -65,6 +65,35 @@ TEST(ObsMetricsTest, HistogramStats) {
   EXPECT_EQ(snap.Histogram("obs_test.hist.unregistered"), nullptr);
 }
 
+// A histogram kept outside the registry (FleetServer's latency histograms)
+// fills exactly as the registry does for the same samples.
+TEST(ObsMetricsTest, SnapshotRecordMatchesRegistry) {
+  Registry& reg = Registry::Instance();
+  reg.Reset();
+  const int id = reg.HistogramId("obs_test.hist.record");
+  HistogramSnapshot local;
+  for (std::uint64_t v : {0u, 1u, 7u, 7u, 7u, 4096u, 300u}) {
+    reg.HistogramRecord(id, v);
+    local.Record(v);
+  }
+  for (int i = 0; i < 5; ++i) reg.HistogramRecord(id, 55);
+  local.Record(55, 5);
+  local.Record(99, 0);  // no samples: no effect
+  const MetricsSnapshot snap = reg.Snapshot();
+  const HistogramSnapshot* h = snap.Histogram("obs_test.hist.record");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(local.count, h->count);
+  EXPECT_EQ(local.sum, h->sum);
+  EXPECT_EQ(local.min, h->min);
+  EXPECT_EQ(local.max, h->max);
+  for (int b = 0; b < kHistogramBuckets; ++b) {
+    EXPECT_EQ(local.buckets[b], h->buckets[b]) << "bucket " << b;
+  }
+  for (double p : {0.5, 0.95, 0.99}) {
+    EXPECT_EQ(local.Quantile(p), h->Quantile(p)) << "p=" << p;
+  }
+}
+
 TEST(ObsMetricsTest, QuantileInterpolatesLogLinearlyInsideBuckets) {
   HistogramSnapshot h;
   EXPECT_EQ(h.Quantile(0.5), 0.0);  // empty

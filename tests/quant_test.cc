@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -330,34 +329,6 @@ TEST(QuantSpecTest, DecodeRejectsTruncationAndTrailingGarbage) {
   EXPECT_FALSE(DecodeQuantSpec(padded, &back));
 }
 
-TEST(QuantSpecTest, FileRoundTripAndCorruptContainerRejection) {
-  const QuantSpec spec = SampleSpec();
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "tfmae_quant_spec.quant")
-          .string();
-  ASSERT_TRUE(SaveQuantSpec(spec, path));
-  QuantSpec back;
-  std::string error;
-  ASSERT_TRUE(LoadQuantSpec(path, &back, &error)) << error;
-  EXPECT_EQ(back.sites.size(), spec.sites.size());
-
-  // Flip one payload byte: the section CRC must reject the container.
-  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(f.good());
-  f.seekp(40);
-  char byte = 0;
-  f.seekg(40);
-  f.read(&byte, 1);
-  byte = static_cast<char>(byte ^ 0x40);
-  f.seekp(40);
-  f.write(&byte, 1);
-  f.close();
-  QuantSpec corrupt;
-  EXPECT_FALSE(LoadQuantSpec(path, &corrupt, &error));
-  std::filesystem::remove(path);
-  EXPECT_FALSE(LoadQuantSpec(path, &corrupt, &error));  // missing file
-}
-
 // ---- Calibration -----------------------------------------------------------
 
 TEST(QuantCalibrationTest, RecordsSitesWithFiniteScales) {
@@ -508,45 +479,26 @@ TEST(QuantScoringTest, CheckpointRoundTripCarriesTheSpec) {
   const data::TimeSeries train = TinySignal(192, 2, 61);
   const data::TimeSeries test = TinySignal(80, 2, 62);
   auto fitted = MakeDetector(train, TfmaeDetector::QuantMode::kInt8);
-  const std::string prefix =
-      (std::filesystem::temp_directory_path() / "tfmae_quant_ckpt").string();
-  ASSERT_TRUE(fitted->SaveCheckpoint(prefix));
-  ASSERT_TRUE(std::filesystem::exists(prefix + ".quant"));
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "tfmae_quant.ckpt").string();
+  ASSERT_TRUE(fitted->SaveCheckpoint(path));
 
   TfmaeDetector loaded(TinyConfig());
-  ASSERT_TRUE(loaded.LoadCheckpoint(prefix));
+  ASSERT_TRUE(loaded.LoadCheckpoint(path));
+  std::filesystem::remove(path);
   ASSERT_TRUE(loaded.has_quant_spec());
+  EXPECT_TRUE(EncodeQuantSpec(loaded.quant_spec()) ==
+              EncodeQuantSpec(fitted->quant_spec()));
   loaded.SetQuantMode(TfmaeDetector::QuantMode::kInt8);
   const std::vector<float> got = loaded.Score(test);
   EXPECT_EQ(loaded.quant_fallbacks(), 0);
   ASSERT_NE(loaded.inference_plan(), nullptr);
   EXPECT_TRUE(loaded.inference_plan()->stats().quantized);
-  for (const float s : got) EXPECT_TRUE(std::isfinite(s));
-
-  // Corrupting the .quant container degrades the NEXT load to fp32 — the
-  // weights still load and the detector still scores.
-  {
-    std::fstream f(prefix + ".quant",
-                   std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(f.good());
-    f.seekp(32);
-    char byte = 0;
-    f.seekg(32);
-    f.read(&byte, 1);
-    byte = static_cast<char>(byte ^ 0x11);
-    f.seekp(32);
-    f.write(&byte, 1);
-  }
-  TfmaeDetector degraded(TinyConfig());
-  ASSERT_TRUE(degraded.LoadCheckpoint(prefix));
-  EXPECT_FALSE(degraded.has_quant_spec());
-  degraded.SetQuantMode(TfmaeDetector::QuantMode::kInt8);
-  const std::vector<float> fp32_scores = degraded.Score(test);
-  EXPECT_FALSE(fp32_scores.empty());
-  EXPECT_GT(degraded.quant_fallbacks(), 0);
-  for (const char* suffix : {".config", ".norm", ".weights", ".quant"}) {
-    std::filesystem::remove(prefix + suffix);
-  }
+  const std::vector<float> want = fitted->Score(test);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(0,
+            std::memcmp(got.data(), want.data(), got.size() * sizeof(float)))
+      << "the loaded spec must score int8 exactly as the saved one";
 }
 
 // The injected-fault proof of the fp32 fallback: a quant-capture fault must

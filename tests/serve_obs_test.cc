@@ -280,30 +280,25 @@ TEST(ServeObsTest, ScoreDistributionSaveLoadRoundTrip) {
   const core::ScoreDistribution original =
       core::BuildScoreDistribution(ScoresFor(2, 50));
   ASSERT_FALSE(original.empty());
-  const std::string path = ::testing::TempDir() + "/tfmae_drift_rt.drift";
-  ASSERT_TRUE(core::SaveScoreDistribution(original, path));
   core::ScoreDistribution restored;
-  std::string error;
-  ASSERT_TRUE(core::LoadScoreDistribution(path, &restored, &error)) << error;
+  ASSERT_TRUE(core::DecodeScoreDistribution(
+      core::EncodeScoreDistribution(original), &restored));
   EXPECT_EQ(restored.lo, original.lo);
   EXPECT_EQ(restored.hi, original.hi);
   EXPECT_EQ(restored.count, original.count);
   EXPECT_EQ(restored.buckets, original.buckets);
-  std::remove(path.c_str());
 }
 
 TEST(ServeObsTest, CorruptScoreDistributionFailsToLoad) {
-  const std::string path = ::testing::TempDir() + "/tfmae_drift_bad.drift";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  const char garbage[] = "not a checkpoint container";
-  std::fwrite(garbage, 1, sizeof(garbage), f);
-  std::fclose(f);
+  const std::string garbage = "not a score distribution";
   core::ScoreDistribution dist;
-  std::string error;
-  EXPECT_FALSE(core::LoadScoreDistribution(path, &dist, &error));
-  EXPECT_FALSE(error.empty());
-  std::remove(path.c_str());
+  EXPECT_FALSE(core::DecodeScoreDistribution({garbage.begin(), garbage.end()},
+                                             &dist));
+  std::vector<char> payload = core::EncodeScoreDistribution(
+      core::BuildScoreDistribution(ScoresFor(2, 50)));
+  payload.pop_back();  // truncated
+  EXPECT_FALSE(core::DecodeScoreDistribution(payload, &dist));
+  EXPECT_TRUE(dist.empty());
 }
 
 TEST(ServeObsTest, DetectorCheckpointCarriesScoreReference) {
@@ -313,30 +308,16 @@ TEST(ServeObsTest, DetectorCheckpointCarriesScoreReference) {
       core::BuildScoreDistribution(original.Score(TrainSeries())));
   ASSERT_TRUE(original.has_score_reference());
 
-  const std::string prefix = ::testing::TempDir() + "/tfmae_obs_ckpt";
-  ASSERT_TRUE(original.SaveCheckpoint(prefix));
+  const std::string path = ::testing::TempDir() + "/tfmae_obs.ckpt";
+  ASSERT_TRUE(original.SaveCheckpoint(path));
   core::TfmaeDetector restored(TestConfig());
-  ASSERT_TRUE(restored.LoadCheckpoint(prefix));
+  ASSERT_TRUE(restored.LoadCheckpoint(path));
+  std::remove(path.c_str());
   ASSERT_TRUE(restored.has_score_reference());
   EXPECT_EQ(restored.score_reference().count,
             original.score_reference().count);
   EXPECT_EQ(restored.score_reference().buckets,
             original.score_reference().buckets);
-
-  // A corrupt sidecar degrades to "no reference" — the model itself still
-  // loads (same tolerant contract as the quant sidecar).
-  std::FILE* f = std::fopen((prefix + ".drift").c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fwrite("xx", 1, 2, f);
-  std::fclose(f);
-  core::TfmaeDetector degraded(TestConfig());
-  ASSERT_TRUE(degraded.LoadCheckpoint(prefix));
-  EXPECT_FALSE(degraded.has_score_reference());
-
-  for (const char* ext :
-       {".config", ".norm", ".weights", ".quant", ".drift"}) {
-    std::remove((prefix + ext).c_str());
-  }
 }
 
 // ---- /statusz JSON payload -----------------------------------------------

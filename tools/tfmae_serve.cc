@@ -9,14 +9,14 @@
 //   tfmae_serve --streams=1024 --threads=2 --batch_max=64 --rows=200
 //   tfmae_serve --streams=256 --seconds=30       # run for a wall budget
 //   tfmae_serve --csv=telemetry.csv --streams=64 # replay a CSV fleet
-//   tfmae_serve --checkpoint=PREFIX ...          # reuse a saved detector
+//   tfmae_serve --checkpoint=PATH ...            # reuse a saved detector
 //   tfmae_serve --verify ...                     # also check batched ==
 //                                                # sequential (exit 1 on drift)
 //
 //   tfmae_serve --quant=int8 ...                 # int8 scoring lanes
 //                                                # (calibrates on train when
 //                                                # the checkpoint has no
-//                                                # .quant spec)
+//                                                # quant spec)
 //
 // Crash safety (docs/RESILIENCE.md, "Serving resilience"):
 //
@@ -59,7 +59,7 @@
 //
 // Flags: --streams=N --threads=T --batch_max=B --rows=R --seconds=S
 //        --window=W --hop=H --queue_capacity=Q --anomaly_fraction=F
-//        --csv=PATH --checkpoint=PREFIX --save_checkpoint=PREFIX
+//        --csv=PATH --checkpoint=PATH --save_checkpoint=PATH
 //        --quant=int8|off --verify --quiet
 //        --snapshot_dir=DIR --snapshot_every=K (default from env
 //        TFMAE_SERVE_SNAPSHOT_EVERY) --restore --score_log=PATH
@@ -327,16 +327,6 @@ int main(int argc, char** argv) {
   } else {
     detector.Fit(train);
   }
-  // --save_checkpoint: persist the fitted detector so later runs (the chaos
-  // soak's kill/restore/reference triple) share one identical model without
-  // re-fitting.
-  if (save_checkpoint != nullptr) {
-    if (!detector.SaveCheckpoint(save_checkpoint)) {
-      std::fprintf(stderr, "tfmae_serve: cannot save checkpoint %s\n",
-                   save_checkpoint);
-      return 1;
-    }
-  }
   // --quant overrides the TFMAE_QUANT default the detector started with.
   // Int8 without a spec (fresh fit, or a checkpoint saved before
   // calibration) calibrates on the training replay here, so the serving
@@ -356,19 +346,18 @@ int main(int argc, char** argv) {
     }
   }
   const std::vector<float> calibration = detector.Score(train);
-  // Drift-monitor reference: a loaded checkpoint may carry one
-  // (<prefix>.drift); otherwise the calibration scores just computed become
-  // it. SaveCheckpoint ran before the reference existed, so persist the
-  // sidecar explicitly for later runs of the same prefix.
+  // Drift-monitor reference: a loaded checkpoint may carry one; otherwise
+  // the calibration scores just computed become it.
   if (!detector.has_score_reference()) {
     detector.SetScoreReference(tfmae::core::BuildScoreDistribution(calibration));
-    if (save_checkpoint != nullptr &&
-        !tfmae::core::SaveScoreDistribution(
-            detector.score_reference(), std::string(save_checkpoint) + ".drift") &&
-        !quiet) {
-      std::fprintf(stderr, "tfmae_serve: cannot save drift reference %s.drift\n",
-                   save_checkpoint);
-    }
+  }
+  // --save_checkpoint: persist the detector, with its int8 spec and drift
+  // reference, so later runs (the chaos soak's kill/restore/reference
+  // triple) share one identical model without re-fitting or recalibrating.
+  if (save_checkpoint != nullptr && !detector.SaveCheckpoint(save_checkpoint)) {
+    std::fprintf(stderr, "tfmae_serve: cannot save checkpoint %s\n",
+                 save_checkpoint);
+    return 1;
   }
   if (!quiet) {
     std::printf("model ready in %.1fs (%s)\n", fit_watch.ElapsedSeconds(),
