@@ -282,8 +282,7 @@ using kernels::kGeluC;  // sqrt(2/pi)
 
 float FwdGelu(float v) { return kernels::GeluApprox(v); }
 float BwdGelu(float v) {
-  const float inner = kGeluC * (v + 0.044715f * v * v * v);
-  const float t = std::tanh(inner);
+  const float t = kernels::FastTanh(kernels::GeluInner(v));
   const float d_inner = kGeluC * (1.0f + 3.0f * 0.044715f * v * v);
   return 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * d_inner;
 }
@@ -370,19 +369,10 @@ Tensor BiasGelu(const Tensor& x, const Tensor& bias) {
   if (track) tanh_cache = Tensor::Empty(x.shape());
   float* pt = track ? tanh_cache.data() : nullptr;
   // One pass instead of materializing x + bias: same per-element arithmetic
-  // as Gelu(Add(x, bias)), so the fusion is bitwise-invisible.
+  // as Gelu(Add(x, bias)), so the fusion is bitwise-invisible. The kernel is
+  // the one the inference plan replays.
   ParallelElems(n, [=](std::int64_t s, std::int64_t e) {
-    if (pt != nullptr) {
-      for (std::int64_t i = s; i < e; ++i) {
-        const float v = px[i] + pb[i % bn];
-        const float inner = kGeluC * (v + 0.044715f * v * v * v);
-        const float t = std::tanh(inner);
-        pt[i] = t;
-        po[i] = 0.5f * v * (1.0f + t);
-      }
-    } else {
-      for (std::int64_t i = s; i < e; ++i) po[i] = FwdGelu(px[i] + pb[i % bn]);
-    }
+    kernels::BiasGeluRange(px, pb, bn, s, e, po, pt);
   });
   capture::NoteBiasGelu(x, bias, out);
   if (track) {
