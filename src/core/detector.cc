@@ -522,6 +522,14 @@ bool TfmaeDetector::LoadCheckpoint(const std::string& path) {
       !DecodeScoreDistribution(*score_payload, &score_reference)) {
     return false;
   }
+  // The weights on file bound the model before it is built: a config that
+  // implies more floats than the params section holds can never load, and
+  // building it first could exhaust memory.
+  const auto num_floats = TfmaeModel::ParameterCount(
+      static_cast<std::int64_t>(means.size()), *config);
+  if (!num_floats.has_value() || *num_floats > params->size() / sizeof(float)) {
+    return false;
+  }
   Rng rng(config->seed);
   auto model = std::make_unique<TfmaeModel>(
       static_cast<std::int64_t>(means.size()), *config, &rng);

@@ -4,7 +4,9 @@
 #ifndef TFMAE_CORE_MODEL_H_
 #define TFMAE_CORE_MODEL_H_
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/config.h"
@@ -43,6 +45,13 @@ class TfmaeModel : public nn::Module {
   /// ratios in [0, 1). Check a config read from a file with it before
   /// building a model, since a failed CHECK aborts.
   static bool ConfigIsBuildable(const TfmaeConfig& config);
+
+  /// The number of floats a model of `num_features` features built from
+  /// `config` holds, or nullopt if it does not fit in 64 bits. Requires
+  /// ConfigIsBuildable(config) and num_features >= 1. A loader checks it
+  /// against the weights on file before building the model.
+  static std::optional<std::uint64_t> ParameterCount(
+      std::int64_t num_features, const TfmaeConfig& config);
 
   /// The two views of Eq. (14)-(16): temporal P^(L) and frequency F^(L),
   /// both [window, model_dim].

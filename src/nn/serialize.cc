@@ -29,13 +29,11 @@ bool DecodeParameters(Module* module, const std::vector<char>& payload) {
   // module half-overwritten.
   std::map<std::string, std::vector<float>> loaded;
   for (std::uint64_t i = 0; i < count; ++i) {
+    // { u64 numel, floats } is FloatArray's layout, which bounds numel by
+    // the bytes left before it allocates.
     std::string name;
-    std::uint64_t numel = 0;
-    if (!reader.String(&name) || !reader.U64(&numel)) return false;
-    std::vector<float> values(static_cast<std::size_t>(numel));
-    if (!reader.Raw(values.data(), values.size() * sizeof(float))) {
-      return false;
-    }
+    std::vector<float> values;
+    if (!reader.String(&name) || !reader.FloatArray(&values)) return false;
     loaded.emplace(std::move(name), std::move(values));
   }
   if (!reader.AtEnd()) return false;

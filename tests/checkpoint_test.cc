@@ -145,19 +145,29 @@ TEST(CheckpointTest, LoadFailsOnMissingPieces) {
 
 // The model constructors and PrepareWindow CHECK their arguments, so a
 // config that cannot build a model must be refused before one is built:
-// num_heads 0 would divide by zero, and 3 does not divide model_dim 16.
+// num_heads 0 would divide by zero, and 3 does not divide model_dim 16. A
+// well-shaped config whose model would not fit the weights on file is
+// refused before the model is allocated: model_dim 4194304 would ask for
+// ~10^15 bytes, and model_dim 2^40 overflows the parameter count.
 TEST(CheckpointTest, LoadRejectsConfigThatCannotBuildAModel) {
   const data::TimeSeries train = Signal(200, 2, 113);
   TfmaeDetector fitted(SmallConfig());
   fitted.Fit(train);
   const std::vector<float> before = fitted.Score(train);
+  std::uint64_t held = 0;
+  for (const Tensor& p : fitted.model()->Parameters()) {
+    held += static_cast<std::uint64_t>(p.numel());
+  }
+  EXPECT_EQ(TfmaeModel::ParameterCount(2, SmallConfig()), held);
   const std::string path = ::testing::TempDir() + "/tfmae_bad_config.ckpt";
   const std::vector<std::pair<std::string, void (*)(TfmaeConfig*)>> cases = {
       {"num_heads 0", [](TfmaeConfig* c) { c->num_heads = 0; }},
       {"num_heads 3", [](TfmaeConfig* c) { c->num_heads = 3; }},
       {"num_layers 0", [](TfmaeConfig* c) { c->num_layers = 0; }},
       {"window 1", [](TfmaeConfig* c) { c->window = 1; }},
-      {"mask ratio 1", [](TfmaeConfig* c) { c->frequency_mask_ratio = 1.0; }}};
+      {"mask ratio 1", [](TfmaeConfig* c) { c->frequency_mask_ratio = 1.0; }},
+      {"model_dim 4194304", [](TfmaeConfig* c) { c->model_dim = 4194304; }},
+      {"model_dim 2^40", [](TfmaeConfig* c) { c->model_dim = 1LL << 40; }}};
   for (const auto& [what, spoil] : cases) {
     ASSERT_TRUE(fitted.SaveCheckpoint(path));
     TfmaeConfig bad = SmallConfig();

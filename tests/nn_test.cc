@@ -10,6 +10,7 @@
 #include "nn/serialize.h"
 #include "nn/transformer.h"
 #include "tensor/ops.h"
+#include "util/checkpoint_file.h"
 #include "util/rng.h"
 
 namespace tfmae::nn {
@@ -288,6 +289,16 @@ TEST(SerializeTest, DecodeRejectsGarbageTruncationAndMismatch) {
   Rng wide_rng(12);
   EXPECT_FALSE(DecodeParameters(
       &model, EncodeParameters(Linear(3, 2, &wide_rng))));  // shape mismatch
+  // An element count the payload cannot hold is refused before anything
+  // is allocated for it.
+  for (const std::uint64_t numel : {1ULL << 40, ~0ULL}) {
+    util::ByteWriter huge;
+    huge.U64(1);
+    huge.String("weight");
+    huge.U64(numel);
+    huge.F32(0.5f);
+    EXPECT_FALSE(DecodeParameters(&model, huge.Take())) << numel;
+  }
   EXPECT_EQ(model.NamedParameters()[0].second.ToVector(), before);
 }
 
