@@ -491,8 +491,10 @@ int main(int argc, char** argv) {
   std::int64_t overload_retries = 0;
   std::int64_t backoff_naps = 0;
   std::int64_t retry_gave_up = 0;
+  // --seconds without --rows (or with --rows=0) is a wall budget alone.
+  const bool rows_given = FlagValue(argc, argv, "--rows=") != nullptr;
   const std::int64_t max_ticks =
-      seconds > 0 && rows <= 0 ? -1 : rows;  // --seconds alone: unbounded
+      seconds > 0 && (!rows_given || rows <= 0) ? -1 : rows;
   while (!g_stop) {
     if (max_ticks >= 0 && ticks >= max_ticks) break;
     if (seconds > 0 && watch.ElapsedSeconds() >= static_cast<double>(seconds)) break;
