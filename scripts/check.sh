@@ -44,8 +44,11 @@
 #    uninterrupted run;
 #  * live smoke (docs/OBSERVABILITY.md, "Live endpoints & SLOs"):
 #    scripts/live_smoke.py scrapes /metrics of a 256-stream tfmae_serve
-#    mid-load, checks the exposition format and the stage-sum/end-to-end
-#    reconciliation, and asserts /healthz flips to 503 during drain.
+#    back to back through most of the load and fails unless every scrape
+#    is valid exposition with no family twice, its stage and score-window
+#    histograms reconcile, and its windows-scored count is at most that of
+#    the /statusz read right after it; then it asserts /healthz flips to
+#    503 during drain.
 #
 # thread: the full suite under ThreadSanitizer twice — as is, and with
 # TFMAE_OBS=1 so every instrumented site records while TSan watches the
@@ -123,7 +126,7 @@ case "$MODE" in
     fi
     echo "== chaos soak: kill -9 mid-run, restore, union-of-logs bitwise =="
     python3 scripts/chaos_soak.py --serve-bin "$BUILD_DIR/tools/tfmae_serve"
-    echo "== live smoke: 256 streams, mid-load scrape, /healthz 503 on drain =="
+    echo "== live smoke: 256 streams, mid-load scrapes, /healthz 503 on drain =="
     TFMAE_OBS=1 python3 scripts/live_smoke.py \
       --serve-bin "$BUILD_DIR/tools/tfmae_serve"
     ;;

@@ -1,10 +1,5 @@
 #include "core/checkpoint.h"
 
-#include <algorithm>
-#include <cstdio>
-#include <filesystem>
-#include <system_error>
-
 #include "util/checkpoint_file.h"
 #include "util/logging.h"
 
@@ -16,7 +11,6 @@ constexpr char kAdamSection[] = "train.adam";
 constexpr char kWeightsSection[] = "params";
 
 constexpr char kFilePrefix[] = "ckpt_";
-constexpr char kFileSuffix[] = ".tfmae";
 
 std::vector<char> EncodeMeta(const TrainingCheckpoint& c) {
   util::ByteWriter w;
@@ -74,40 +68,6 @@ bool DecodeAdam(const std::vector<char>& payload, nn::AdamState* adam) {
   return r.AtEnd();
 }
 
-/// Step number encoded in a checkpoint file name; -1 when `name` is not a
-/// checkpoint file.
-std::int64_t StepFromFilename(const std::string& name) {
-  const std::size_t prefix_len = sizeof(kFilePrefix) - 1;
-  const std::size_t suffix_len = sizeof(kFileSuffix) - 1;
-  if (name.size() <= prefix_len + suffix_len ||
-      name.compare(0, prefix_len, kFilePrefix) != 0 ||
-      name.compare(name.size() - suffix_len, suffix_len, kFileSuffix) != 0) {
-    return -1;
-  }
-  const std::string digits =
-      name.substr(prefix_len, name.size() - prefix_len - suffix_len);
-  if (digits.empty() ||
-      digits.find_first_not_of("0123456789") != std::string::npos) {
-    return -1;
-  }
-  return std::strtoll(digits.c_str(), nullptr, 10);
-}
-
-/// All checkpoint files in `dir` as (step, path), highest step first.
-std::vector<std::pair<std::int64_t, std::string>> ListCheckpoints(
-    const std::string& dir) {
-  std::vector<std::pair<std::int64_t, std::string>> found;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file(ec)) continue;
-    const std::int64_t step = StepFromFilename(entry.path().filename().string());
-    if (step >= 0) found.emplace_back(step, entry.path().string());
-  }
-  std::sort(found.begin(), found.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  return found;
-}
-
 }  // namespace
 
 bool SaveTrainingCheckpoint(const TrainingCheckpoint& checkpoint,
@@ -143,16 +103,13 @@ std::optional<TrainingCheckpoint> LoadTrainingCheckpoint(
 }
 
 std::string TrainingCheckpointPath(const std::string& dir, std::int64_t step) {
-  char name[32];
-  std::snprintf(name, sizeof(name), "%s%08lld%s", kFilePrefix,
-                static_cast<long long>(step), kFileSuffix);
-  return (std::filesystem::path(dir) / name).string();
+  return util::NumberedFilePath(dir, kFilePrefix, step);
 }
 
 std::optional<std::pair<std::string, TrainingCheckpoint>>
 FindLatestValidCheckpoint(const std::string& dir, std::string* error) {
   std::string last_error = "no checkpoint files in " + dir;
-  for (const auto& [step, path] : ListCheckpoints(dir)) {
+  for (const auto& [step, path] : util::ListNumberedFiles(dir, kFilePrefix)) {
     std::string open_error;
     if (auto checkpoint = LoadTrainingCheckpoint(path, &open_error)) {
       return std::make_pair(path, std::move(*checkpoint));
@@ -167,12 +124,7 @@ FindLatestValidCheckpoint(const std::string& dir, std::string* error) {
 }
 
 void PruneTrainingCheckpoints(const std::string& dir, int keep_last) {
-  const auto checkpoints = ListCheckpoints(dir);
-  std::error_code ec;
-  for (std::size_t i = static_cast<std::size_t>(std::max(0, keep_last));
-       i < checkpoints.size(); ++i) {
-    std::filesystem::remove(checkpoints[i].second, ec);
-  }
+  util::PruneNumberedFiles(dir, kFilePrefix, keep_last);
 }
 
 }  // namespace tfmae::core

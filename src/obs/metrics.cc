@@ -59,21 +59,6 @@ double HistogramSnapshot::Mean() const {
                     : static_cast<double>(sum) / static_cast<double>(count);
 }
 
-double HistogramSnapshot::Percentile(double p) const {
-  if (count == 0) return 0.0;
-  p = std::clamp(p, 0.0, 1.0);
-  const std::uint64_t rank = static_cast<std::uint64_t>(
-      p * static_cast<double>(count - 1));  // 0-based rank of the quantile
-  std::uint64_t seen = 0;
-  for (int b = 0; b < kHistogramBuckets; ++b) {
-    seen += buckets[b];
-    if (seen > rank) {
-      return static_cast<double>(std::min(HistogramBucketUpperBound(b), max));
-    }
-  }
-  return static_cast<double>(max);
-}
-
 double HistogramSnapshot::Quantile(double p) const {
   if (count == 0) return 0.0;
   p = std::clamp(p, 0.0, 1.0);

@@ -42,8 +42,6 @@ namespace tfmae::obs {
 /// `obs.registry.overflow` counter — instrumentation must never be able to
 /// abort the instrumented process. Raise the constant if a legitimate
 /// workload overflows; it is a compile-time budget, not a tunable.
-/// (Raised for the live serving plane: `serve.stage.*` timelines, SLO
-/// breach counters, and the drift monitor all register at serving start.)
 constexpr int kMaxCounters = 384;
 constexpr int kMaxGauges = 96;
 constexpr int kMaxHistograms = 128;
@@ -80,15 +78,11 @@ struct HistogramSnapshot {
   void Record(std::uint64_t value, std::uint64_t n = 1);
 
   double Mean() const;
-  /// Upper-bound estimate of the p-quantile (p in [0,1]) from the bucket
-  /// CDF; exact to within the factor-2 bucket resolution.
-  double Percentile(double p) const;
-  /// Interpolated estimate of the p-quantile: locates the bucket holding
-  /// the p-th sample and interpolates log-linearly inside it (bucket b >= 1
-  /// spans [2^(b-1), 2^b), so the interpolated value is 2^(b-1+f)), clamped
-  /// to the observed [min, max]. Smoother than Percentile() for dashboards
-  /// and the benchmark's per-layer p50s; same determinism (pure function of
-  /// the buckets).
+  /// Interpolated estimate of the p-quantile (p in [0,1], clamped): locates
+  /// the bucket holding the p-th sample and interpolates log-linearly inside
+  /// it (bucket b >= 1 spans [2^(b-1), 2^b), so the interpolated value is
+  /// 2^(b-1+f)), clamped to the observed [min, max]. A pure function of the
+  /// buckets, so as deterministic as they are.
   double Quantile(double p) const;
 };
 

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <string>
 #include <system_error>
+#include <type_traits>
 #include <utility>
 
 #include "core/config_io.h"
@@ -56,20 +57,6 @@ void AtomicMax(std::atomic<std::int64_t>* target, std::int64_t value) {
          !target->compare_exchange_weak(cur, value,
                                         std::memory_order_relaxed)) {
   }
-}
-
-void JsonField(std::string* out, const char* key, const std::string& value) {
-  if (out->size() > 1) out->push_back(',');
-  out->push_back('"');
-  out->append(key);
-  out->append("\":");
-  out->append(value);
-}
-
-std::string JsonDouble(double v, const char* fmt = "%.1f") {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), fmt, v);
-  return buf;
 }
 
 }  // namespace
@@ -206,7 +193,6 @@ std::int64_t FleetServer::OpenStream() {
   // Publish AFTER the slot is filled so lock-free readers of num_streams()
   // always find a constructed Entry behind any id they accept.
   num_streams_.store(n + 1, std::memory_order_release);
-  TFMAE_GAUGE_SET("serve.streams", n + 1);
   return n;
 }
 
@@ -249,7 +235,6 @@ AdmitStatus FleetServer::Push(std::int64_t stream,
     // refusal: the row is untouched and the caller's overload retry path
     // must absorb it.
     rows_overloaded_.fetch_add(1, std::memory_order_relaxed);
-    TFMAE_COUNTER_ADD("serve.ingest.rejected_overload", 1);
     RecordShedStrike();
     return AdmitStatus::kOverloaded;
   }
@@ -297,7 +282,6 @@ AdmitStatus FleetServer::Push(std::int64_t stream,
           Request victim = std::move(queue_.front());
           queue_.pop_front();
           shed_dropped_.fetch_add(1, std::memory_order_relaxed);
-          TFMAE_COUNTER_ADD("serve.shed.dropped", 1);
           RecordShedStrike();
           ScoredWindow marker;
           marker.stream = victim.stream;
@@ -310,10 +294,8 @@ AdmitStatus FleetServer::Push(std::int64_t stream,
           results_.push_back(marker);
         } else {
           rows_overloaded_.fetch_add(1, std::memory_order_relaxed);
-          TFMAE_COUNTER_ADD("serve.ingest.rejected_overload", 1);
           if (options_.shed_policy == ShedPolicy::kBlockDeadline) {
             shed_deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-            TFMAE_COUNTER_ADD("serve.shed.deadline_expired", 1);
           }
           RecordShedStrike();
           return AdmitStatus::kOverloaded;
@@ -328,23 +310,19 @@ AdmitStatus FleetServer::Push(std::int64_t stream,
     switch (outcome.status) {
       case core::PushStatus::kRejected:
         rows_rejected_.fetch_add(1, std::memory_order_relaxed);
-        TFMAE_COUNTER_ADD("serve.ingest.rejected_row", 1);
         return AdmitStatus::kRejectedRow;
       case core::PushStatus::kQuarantined:
         rows_quarantined_.fetch_add(1, std::memory_order_relaxed);
         rows_pushed_.fetch_add(1, std::memory_order_relaxed);
-        TFMAE_COUNTER_ADD("serve.ingest.quarantined", 1);
         return AdmitStatus::kQuarantined;
       case core::PushStatus::kWarmup:
         rows_warmup_.fetch_add(1, std::memory_order_relaxed);
         rows_pushed_.fetch_add(1, std::memory_order_relaxed);
-        TFMAE_COUNTER_ADD("serve.ingest.admitted", 1);
         return AdmitStatus::kWarmup;
       case core::PushStatus::kScored:
         break;
     }
     rows_pushed_.fetch_add(1, std::memory_order_relaxed);
-    TFMAE_COUNTER_ADD("serve.ingest.admitted", 1);
 
     if (outcome.rescore_due) {
       Request request;
@@ -374,8 +352,6 @@ AdmitStatus FleetServer::Push(std::int64_t stream,
     MaybeAutoSnapshot();
     return AdmitStatus::kAccepted;
   }
-  TFMAE_GAUGE_MAX("serve.queue.depth_peak", depth);
-  TFMAE_HISTOGRAM_RECORD("serve.queue.depth", static_cast<std::uint64_t>(depth));
   // Flush OUTSIDE every lock: the scoring path re-acquires stream locks to
   // commit results (lock order: score_mu_ -> entry.mu; the push path holds
   // entry.mu -> queue_mu_ — no cycle as long as nothing here holds a lock
@@ -401,6 +377,7 @@ bool FleetServer::EnsureLanesLocked(std::int64_t want,
       detector_->has_quant_spec()) {
     spec = &detector_->quant_spec();
   }
+  bool captured = true;
   for (std::int64_t i = 0; i < want; ++i) {
     Lane& lane = *lanes_[static_cast<std::size_t>(i)];
     const bool want_quant = spec != nullptr;
@@ -419,7 +396,6 @@ bool FleetServer::EnsureLanesLocked(std::int64_t want,
         // loop restarts in fp32, so one batch never mixes precisions.
         quant_capture_failed_ = true;
         quant_lane_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-        TFMAE_COUNTER_ADD("serve.quant.capture_fallbacks", 1);
         spec = nullptr;
         for (auto& l : lanes_) l->plan.reset();
         i = -1;
@@ -427,13 +403,30 @@ bool FleetServer::EnsureLanesLocked(std::int64_t want,
       }
       // Capture failure never produces a wrong plan, only no plan: this
       // batch scores eagerly and the next batch retries the capture.
-      TFMAE_COUNTER_ADD("serve.plan.capture_fallbacks", 1);
-      return false;
+      captured = false;
+      break;
     }
     lane.quantized = want_quant;
-    TFMAE_COUNTER_ADD("serve.plan.lane_captures", 1);
   }
-  return true;
+  // The lane summary stats() reads, published here so that a stats() read
+  // never waits for the batch in flight.
+  std::int64_t plans = 0;
+  std::int64_t quantized = 0;
+  const core::InferencePlan* first = nullptr;
+  for (const auto& l : lanes_) {
+    if (l->plan == nullptr) continue;
+    ++plans;
+    if (l->quantized) ++quantized;
+    if (first == nullptr) first = l->plan.get();
+  }
+  plan_lanes_.store(plans, std::memory_order_relaxed);
+  quant_lanes_.store(quantized, std::memory_order_relaxed);
+  plan_arena_bytes_.store(first != nullptr ? first->stats().arena_bytes : 0,
+                          std::memory_order_relaxed);
+  quant_arena_bytes_.store(
+      first != nullptr ? first->stats().quant_arena_bytes : 0,
+      std::memory_order_relaxed);
+  return captured;
 }
 
 std::int64_t FleetServer::ScoreBatchLocked() {
@@ -534,8 +527,6 @@ std::int64_t FleetServer::ScoreBatchLocked() {
     eager_windows_.fetch_add(batch_size, std::memory_order_relaxed);
   }
   const std::uint64_t t_scored = NowNs();
-  const std::uint64_t elapsed = t_scored - t0;
-  RecordLatency(elapsed / static_cast<std::uint64_t>(batch_size), batch_size);
 
   // Phase 3 (dispatch thread, serial, admission order): commit tail scores
   // and publish results.
@@ -555,10 +546,7 @@ std::int64_t FleetServer::ScoreBatchLocked() {
       entry.state.CommitRescore(result.score);
       result.is_anomaly = result.score >= entry.state.threshold();
     }
-    if (result.is_anomaly) {
-      alerts_.fetch_add(1, std::memory_order_relaxed);
-      TFMAE_COUNTER_ADD("serve.alerts", 1);
-    }
+    if (result.is_anomaly) alerts_.fetch_add(1, std::memory_order_relaxed);
   }
   {
     std::lock_guard<std::mutex> results_lock(results_mu_);
@@ -567,12 +555,8 @@ std::int64_t FleetServer::ScoreBatchLocked() {
   windows_scored_.fetch_add(batch_size, std::memory_order_relaxed);
   batches_.fetch_add(1, std::memory_order_relaxed);
   AtomicMax(&max_batch_, batch_size);
-  TFMAE_COUNTER_ADD("serve.batch.count", 1);
-  TFMAE_COUNTER_ADD("serve.batch.windows", batch_size);
-  TFMAE_HISTOGRAM_RECORD("serve.batch.size",
-                         static_cast<std::uint64_t>(batch_size));
   // Stage clock: results are published — each window's timeline is
-  // complete. The accounting pass (stage histograms, SLO budgets, drift
+  // complete. The accounting pass (latency histograms, SLO budgets, drift
   // reservoir, sampled trace spans) runs while score_mu_ is still held, so
   // it never interleaves with the next batch's stamps.
   const std::uint64_t t_done = NowNs();
@@ -598,6 +582,12 @@ void FleetServer::AccountBatch(const std::vector<Request>& batch,
 
   {
     std::lock_guard<std::mutex> lock(latency_mu_);
+    // The score-window latency spans pop->scored, the batch and score
+    // stages; live_smoke.py reconciles the two within 10%.
+    window_latency_ns_.Record((t_scored - t_pop) / n, n);
+    stage_batch_ns_.Record(batch_share, n);
+    stage_score_ns_.Record(score_share, n);
+    stage_result_ns_.Record(result_share, n);
     for (const Request& request : batch) {
       // A restored window (t_admit_ns == 0) waited in a previous process;
       // its queue stage is unknowable and counts as zero.
@@ -605,17 +595,9 @@ void FleetServer::AccountBatch(const std::vector<Request>& batch,
           (request.t_admit_ns != 0 && t_pop > request.t_admit_ns)
               ? t_pop - request.t_admit_ns
               : 0;
-      const std::uint64_t total_ns =
-          queue_ns + batch_share + score_share + result_share;
-      TFMAE_HISTOGRAM_RECORD("serve.stage.queue_ns", queue_ns);
-      TFMAE_HISTOGRAM_RECORD("serve.stage.batch_ns", batch_share);
-      TFMAE_HISTOGRAM_RECORD("serve.stage.score_ns", score_share);
-      TFMAE_HISTOGRAM_RECORD("serve.stage.result_ns", result_share);
-      TFMAE_HISTOGRAM_RECORD("serve.stage.total_ns", total_ns);
-      stage_queue_sum_ns_ += queue_ns;
-      stage_batch_sum_ns_ += batch_share;
-      stage_score_sum_ns_ += score_share;
-      stage_result_sum_ns_ += result_share;
+      stage_queue_ns_.Record(queue_ns);
+      stage_total_ns_.Record(queue_ns + batch_share + score_share +
+                             result_share);
       if (request.t_admit_ns != 0 && t_done > request.t_admit_ns) {
         e2e_latency_ns_.Record(t_done - request.t_admit_ns);
       }
@@ -675,21 +657,12 @@ void FleetServer::AccountBatch(const std::vector<Request>& batch,
         slo_exhausted_streams_.fetch_sub(1, std::memory_order_relaxed);
       }
     }
-    if (latency_breaches > 0) {
-      slo_latency_breaches_.fetch_add(latency_breaches,
+    slo_latency_breaches_.fetch_add(latency_breaches,
+                                    std::memory_order_relaxed);
+    slo_staleness_breaches_.fetch_add(staleness_breaches,
                                       std::memory_order_relaxed);
-      TFMAE_COUNTER_ADD("serve.slo.latency_breaches", latency_breaches);
-    }
-    if (staleness_breaches > 0) {
-      slo_staleness_breaches_.fetch_add(staleness_breaches,
-                                        std::memory_order_relaxed);
-      TFMAE_COUNTER_ADD("serve.slo.staleness_breaches", staleness_breaches);
-    }
-    TFMAE_GAUGE_SET("serve.slo.exhausted_streams",
-                    slo_exhausted_streams_.load(std::memory_order_relaxed));
     for (const Episode& episode : episodes) {
       slo_exhausted_episodes_.fetch_add(1, std::memory_order_relaxed);
-      TFMAE_COUNTER_ADD("serve.slo.budget_exhausted", 1);
       if (obs::LedgerActive()) {
         // Which stream exhausts, and when, depends entirely on load and
         // scheduling; every varying field is t_-tagged.
@@ -778,12 +751,8 @@ void FleetServer::DriftObserve(const std::vector<float>& scores) {
     samples = drift_ring_.size();
   }
   drift_checks_.fetch_add(1, std::memory_order_relaxed);
-  TFMAE_COUNTER_ADD("serve.drift.checks", 1);
-  // Gauges are integers; the distance is published in millionths.
-  TFMAE_GAUGE_SET("serve.drift.ks", static_cast<std::int64_t>(ks * 1e6));
   if (ks <= options_.drift_threshold) return;
   drift_alarms_.fetch_add(1, std::memory_order_relaxed);
-  TFMAE_COUNTER_ADD("serve.drift.alarms", 1);
   if (obs::FlightRecorderActive()) {
     obs::FlightRecorder::Instance().Note(
         "drift", "online score drift: ks=" + std::to_string(ks) +
@@ -829,7 +798,6 @@ std::int64_t FleetServer::Drain() {
   // they admitted is scored by the flush below.
   draining_.store(true, std::memory_order_release);
   const std::int64_t scored = Flush();
-  TFMAE_GAUGE_SET("serve.bytes_per_stream", ApproxBytesPerStream());
   bool first_drain = false;
   {
     std::lock_guard<std::mutex> lock(open_mu_);
@@ -865,7 +833,6 @@ void FleetServer::RecordShedStrike() {
   if (options_.degraded_after <= 0 || strikes < options_.degraded_after) return;
   if (degraded_.exchange(true, std::memory_order_relaxed)) return;
   // First time over the threshold: latch sticky degraded mode, exactly once.
-  TFMAE_COUNTER_ADD("serve.shed.degraded_entered", 1);
   if (obs::FlightRecorderActive()) {
     obs::FlightRecorder::Instance().Note(
         "shed", std::string("fleet server entered degraded mode (policy=") +
@@ -901,7 +868,6 @@ void FleetServer::WatchdogLoop() {
     if (start == last_flagged) continue;  // one postmortem per stalled batch
     last_flagged = start;
     watchdog_stalls_.fetch_add(1, std::memory_order_relaxed);
-    TFMAE_COUNTER_ADD("serve.watchdog.stalls", 1);
     const std::int64_t stalled_ms =
         static_cast<std::int64_t>((now - start) / 1000000ull);
     Log(LogLevel::kWarning,
@@ -997,7 +963,6 @@ bool FleetServer::SnapshotNow(std::string* error) {
   std::string write_error;
   if (!WriteFleetSnapshot(data, path, &write_error)) {
     snapshots_failed_.fetch_add(1, std::memory_order_relaxed);
-    TFMAE_COUNTER_ADD("serve.snapshot.failures", 1);
     Log(LogLevel::kWarning,
         "fleet snapshot write failed (" + write_error +
             "); serving continues on the previous snapshot");
@@ -1009,7 +974,6 @@ bool FleetServer::SnapshotNow(std::string* error) {
     return false;
   }
   snapshots_written_.fetch_add(1, std::memory_order_relaxed);
-  TFMAE_COUNTER_ADD("serve.snapshot.writes", 1);
   PruneFleetSnapshots(options_.snapshot_dir, options_.snapshot_keep);
   if (obs::LedgerActive()) {
     obs::Ledger::Instance().Event(
@@ -1118,7 +1082,6 @@ bool FleetServer::Restore(const FleetSnapshotData& snapshot,
   snapshot_index_.store(snapshot.index, std::memory_order_relaxed);
   last_snapshot_rows_.store(snapshot.counters.rows_pushed,
                             std::memory_order_relaxed);
-  TFMAE_COUNTER_ADD("serve.snapshot.restores", 1);
   if (obs::LedgerActive()) {
     obs::Ledger::Instance().Event(
         "serve.restore",
@@ -1163,19 +1126,6 @@ std::int64_t FleetServer::ApproxBytesPerStream() const {
   return entry.state.ApproxBytes();
 }
 
-void FleetServer::RecordLatency(std::uint64_t ns_per_window,
-                                std::int64_t windows) {
-  // One registry sample per window (count == windows scored), so the
-  // histogram's _sum adds up to the batches' prepare+score wall time and
-  // reconciles with the batch+score stage sums.
-  for (std::int64_t i = 0; i < windows; ++i) {
-    TFMAE_HISTOGRAM_RECORD("serve.score.window_ns", ns_per_window);
-  }
-  std::lock_guard<std::mutex> lock(latency_mu_);
-  window_latency_ns_.Record(ns_per_window,
-                            static_cast<std::uint64_t>(windows));
-}
-
 ServeStats FleetServer::stats() const {
   ServeStats s;
   s.streams = num_streams();
@@ -1202,19 +1152,25 @@ ServeStats FleetServer::stats() const {
   s.watchdog_stalls = watchdog_stalls_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(latency_mu_);
-    s.p50_window_ns = window_latency_ns_.Quantile(0.50);
-    s.p95_window_ns = window_latency_ns_.Quantile(0.95);
-    s.p99_window_ns = window_latency_ns_.Quantile(0.99);
-    s.stage_queue_ns = static_cast<std::int64_t>(stage_queue_sum_ns_);
-    s.stage_batch_ns = static_cast<std::int64_t>(stage_batch_sum_ns_);
-    s.stage_score_ns = static_cast<std::int64_t>(stage_score_sum_ns_);
-    s.stage_result_ns = static_cast<std::int64_t>(stage_result_sum_ns_);
-    s.stage_total_ns = s.stage_queue_ns + s.stage_batch_ns +
-                       s.stage_score_ns + s.stage_result_ns;
-    s.p50_e2e_ns = e2e_latency_ns_.Quantile(0.50);
-    s.p95_e2e_ns = e2e_latency_ns_.Quantile(0.95);
-    s.p99_e2e_ns = e2e_latency_ns_.Quantile(0.99);
+    s.score_window_hist = window_latency_ns_;
+    s.e2e_hist = e2e_latency_ns_;
+    s.stage_queue_hist = stage_queue_ns_;
+    s.stage_batch_hist = stage_batch_ns_;
+    s.stage_score_hist = stage_score_ns_;
+    s.stage_result_hist = stage_result_ns_;
+    s.stage_total_hist = stage_total_ns_;
   }
+  s.p50_window_ns = s.score_window_hist.Quantile(0.50);
+  s.p95_window_ns = s.score_window_hist.Quantile(0.95);
+  s.p99_window_ns = s.score_window_hist.Quantile(0.99);
+  s.stage_queue_ns = static_cast<std::int64_t>(s.stage_queue_hist.sum);
+  s.stage_batch_ns = static_cast<std::int64_t>(s.stage_batch_hist.sum);
+  s.stage_score_ns = static_cast<std::int64_t>(s.stage_score_hist.sum);
+  s.stage_result_ns = static_cast<std::int64_t>(s.stage_result_hist.sum);
+  s.stage_total_ns = static_cast<std::int64_t>(s.stage_total_hist.sum);
+  s.p50_e2e_ns = s.e2e_hist.Quantile(0.50);
+  s.p95_e2e_ns = s.e2e_hist.Quantile(0.95);
+  s.p99_e2e_ns = s.e2e_hist.Quantile(0.99);
   s.slo_latency_breaches =
       slo_latency_breaches_.load(std::memory_order_relaxed);
   s.slo_staleness_breaches =
@@ -1231,74 +1187,122 @@ ServeStats FleetServer::stats() const {
   }
   s.quant_fallbacks = quant_lane_fallbacks_.load(std::memory_order_relaxed) +
                       detector_->quant_fallbacks();
-  {
-    std::lock_guard<std::mutex> lock(score_mu_);
-    for (const auto& lane : lanes_) {
-      if (lane->plan == nullptr) continue;
-      ++s.plan_lanes;
-      if (lane->quantized) ++s.quant_lanes;
-      if (s.plan_arena_bytes == 0) {
-        s.plan_arena_bytes = lane->plan->stats().arena_bytes;
-        s.quant_arena_bytes = lane->plan->stats().quant_arena_bytes;
-      }
-    }
-  }
+  s.plan_lanes = plan_lanes_.load(std::memory_order_relaxed);
+  s.quant_lanes = quant_lanes_.load(std::memory_order_relaxed);
+  s.plan_arena_bytes = plan_arena_bytes_.load(std::memory_order_relaxed);
+  s.quant_arena_bytes = quant_arena_bytes_.load(std::memory_order_relaxed);
   return s;
 }
 
+namespace {
+
+/// How a ServeStats field renders. Counters and gauges print as integers
+/// in both views (`degraded` as true/false in the JSON, 0/1 on /metrics).
+/// A latency quantile or a fraction prints in the JSON only: a quantile's
+/// histogram carries it on /metrics, whose gauges hold integers. A
+/// histogram prints its sum in the JSON and its buckets on /metrics.
+enum class Field { kCounter, kGauge, kQuantile, kFraction, kHistogram };
+
+/// The one list of ServeStats fields, in JSON key order: calls
+/// `visit(name, kind, value)` once per field. ServeStatsJson and
+/// AppendServeMetrics both walk it.
+template <typename Visit>
+void ForEachField(const ServeStats& s, Visit&& visit) {
+  visit("streams", Field::kGauge, s.streams);
+  visit("rows_pushed", Field::kCounter, s.rows_pushed);
+  visit("rows_overloaded", Field::kCounter, s.rows_overloaded);
+  visit("rows_rejected", Field::kCounter, s.rows_rejected);
+  visit("rows_quarantined", Field::kCounter, s.rows_quarantined);
+  visit("rows_warmup", Field::kCounter, s.rows_warmup);
+  visit("windows_enqueued", Field::kCounter, s.windows_enqueued);
+  visit("windows_scored", Field::kCounter, s.windows_scored);
+  visit("eager_windows", Field::kCounter, s.eager_windows);
+  visit("batches", Field::kCounter, s.batches);
+  visit("max_batch", Field::kGauge, s.max_batch);
+  visit("alerts", Field::kCounter, s.alerts);
+  visit("plan_lanes", Field::kGauge, s.plan_lanes);
+  visit("quant_lanes", Field::kGauge, s.quant_lanes);
+  visit("quant_fallbacks", Field::kCounter, s.quant_fallbacks);
+  visit("plan_arena_bytes", Field::kGauge, s.plan_arena_bytes);
+  visit("quant_arena_bytes", Field::kGauge, s.quant_arena_bytes);
+  visit("peak_queue_depth", Field::kGauge, s.peak_queue_depth);
+  visit("bytes_per_stream", Field::kGauge, s.bytes_per_stream);
+  visit("shed_dropped", Field::kCounter, s.shed_dropped);
+  visit("shed_deadline_expired", Field::kCounter, s.shed_deadline_expired);
+  visit("degraded", Field::kGauge, s.degraded);
+  visit("snapshots_written", Field::kCounter, s.snapshots_written);
+  visit("snapshots_failed", Field::kCounter, s.snapshots_failed);
+  visit("snapshot_index", Field::kGauge, s.snapshot_index);
+  visit("watchdog_stalls", Field::kCounter, s.watchdog_stalls);
+  visit("p50_window_ns", Field::kQuantile, s.p50_window_ns);
+  visit("p95_window_ns", Field::kQuantile, s.p95_window_ns);
+  visit("p99_window_ns", Field::kQuantile, s.p99_window_ns);
+  visit("stage_queue_ns", Field::kHistogram, s.stage_queue_hist);
+  visit("stage_batch_ns", Field::kHistogram, s.stage_batch_hist);
+  visit("stage_score_ns", Field::kHistogram, s.stage_score_hist);
+  visit("stage_result_ns", Field::kHistogram, s.stage_result_hist);
+  visit("stage_total_ns", Field::kHistogram, s.stage_total_hist);
+  visit("p50_e2e_ns", Field::kQuantile, s.p50_e2e_ns);
+  visit("p95_e2e_ns", Field::kQuantile, s.p95_e2e_ns);
+  visit("p99_e2e_ns", Field::kQuantile, s.p99_e2e_ns);
+  visit("slo_latency_breaches", Field::kCounter, s.slo_latency_breaches);
+  visit("slo_staleness_breaches", Field::kCounter, s.slo_staleness_breaches);
+  visit("slo_exhausted_streams", Field::kGauge, s.slo_exhausted_streams);
+  visit("slo_exhausted_episodes", Field::kCounter, s.slo_exhausted_episodes);
+  visit("drift_checks", Field::kCounter, s.drift_checks);
+  visit("drift_alarms", Field::kCounter, s.drift_alarms);
+  visit("drift_ks", Field::kFraction, s.drift_ks);
+  visit("score_window_ns", Field::kHistogram, s.score_window_hist);
+  visit("e2e_ns", Field::kHistogram, s.e2e_hist);
+}
+
+}  // namespace
+
 std::string ServeStatsJson(const ServeStats& s) {
   std::string out = "{";
-  JsonField(&out, "streams", std::to_string(s.streams));
-  JsonField(&out, "rows_pushed", std::to_string(s.rows_pushed));
-  JsonField(&out, "rows_overloaded", std::to_string(s.rows_overloaded));
-  JsonField(&out, "rows_rejected", std::to_string(s.rows_rejected));
-  JsonField(&out, "rows_quarantined", std::to_string(s.rows_quarantined));
-  JsonField(&out, "rows_warmup", std::to_string(s.rows_warmup));
-  JsonField(&out, "windows_enqueued", std::to_string(s.windows_enqueued));
-  JsonField(&out, "windows_scored", std::to_string(s.windows_scored));
-  JsonField(&out, "eager_windows", std::to_string(s.eager_windows));
-  JsonField(&out, "batches", std::to_string(s.batches));
-  JsonField(&out, "max_batch", std::to_string(s.max_batch));
-  JsonField(&out, "alerts", std::to_string(s.alerts));
-  JsonField(&out, "plan_lanes", std::to_string(s.plan_lanes));
-  JsonField(&out, "quant_lanes", std::to_string(s.quant_lanes));
-  JsonField(&out, "quant_fallbacks", std::to_string(s.quant_fallbacks));
-  JsonField(&out, "plan_arena_bytes", std::to_string(s.plan_arena_bytes));
-  JsonField(&out, "quant_arena_bytes", std::to_string(s.quant_arena_bytes));
-  JsonField(&out, "peak_queue_depth", std::to_string(s.peak_queue_depth));
-  JsonField(&out, "bytes_per_stream", std::to_string(s.bytes_per_stream));
-  JsonField(&out, "shed_dropped", std::to_string(s.shed_dropped));
-  JsonField(&out, "shed_deadline_expired",
-            std::to_string(s.shed_deadline_expired));
-  JsonField(&out, "degraded", s.degraded ? "true" : "false");
-  JsonField(&out, "snapshots_written", std::to_string(s.snapshots_written));
-  JsonField(&out, "snapshots_failed", std::to_string(s.snapshots_failed));
-  JsonField(&out, "snapshot_index", std::to_string(s.snapshot_index));
-  JsonField(&out, "watchdog_stalls", std::to_string(s.watchdog_stalls));
-  JsonField(&out, "p50_window_ns", JsonDouble(s.p50_window_ns));
-  JsonField(&out, "p95_window_ns", JsonDouble(s.p95_window_ns));
-  JsonField(&out, "p99_window_ns", JsonDouble(s.p99_window_ns));
-  JsonField(&out, "stage_queue_ns", std::to_string(s.stage_queue_ns));
-  JsonField(&out, "stage_batch_ns", std::to_string(s.stage_batch_ns));
-  JsonField(&out, "stage_score_ns", std::to_string(s.stage_score_ns));
-  JsonField(&out, "stage_result_ns", std::to_string(s.stage_result_ns));
-  JsonField(&out, "stage_total_ns", std::to_string(s.stage_total_ns));
-  JsonField(&out, "p50_e2e_ns", JsonDouble(s.p50_e2e_ns));
-  JsonField(&out, "p95_e2e_ns", JsonDouble(s.p95_e2e_ns));
-  JsonField(&out, "p99_e2e_ns", JsonDouble(s.p99_e2e_ns));
-  JsonField(&out, "slo_latency_breaches",
-            std::to_string(s.slo_latency_breaches));
-  JsonField(&out, "slo_staleness_breaches",
-            std::to_string(s.slo_staleness_breaches));
-  JsonField(&out, "slo_exhausted_streams",
-            std::to_string(s.slo_exhausted_streams));
-  JsonField(&out, "slo_exhausted_episodes",
-            std::to_string(s.slo_exhausted_episodes));
-  JsonField(&out, "drift_checks", std::to_string(s.drift_checks));
-  JsonField(&out, "drift_alarms", std::to_string(s.drift_alarms));
-  JsonField(&out, "drift_ks", JsonDouble(s.drift_ks, "%.4f"));
+  ForEachField(s, [&out](const char* name, Field kind, const auto& value) {
+    using T = std::decay_t<decltype(value)>;
+    if (out.size() > 1) out.push_back(',');
+    out.append("\"").append(name).append("\":");
+    if constexpr (std::is_same_v<T, obs::HistogramSnapshot>) {
+      out.append(std::to_string(value.sum));
+    } else if constexpr (std::is_same_v<T, bool>) {
+      out.append(value ? "true" : "false");
+    } else if constexpr (std::is_same_v<T, double>) {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf),
+                    kind == Field::kFraction ? "%.4f" : "%.1f", value);
+      out.append(buf);
+    } else {
+      out.append(std::to_string(value));
+    }
+  });
   out.push_back('}');
   return out;
+}
+
+void AppendServeMetrics(const ServeStats& stats, obs::MetricsSnapshot* snap) {
+  ForEachField(stats, [snap](const char* name, Field kind, const auto& value) {
+    using T = std::decay_t<decltype(value)>;
+    std::string metric = std::string("serve.") + name;
+    if constexpr (std::is_same_v<T, obs::HistogramSnapshot>) {
+      snap->histograms.push_back(value);
+      snap->histograms.back().name = std::move(metric);
+    } else if constexpr (!std::is_same_v<T, double>) {
+      if (kind == Field::kCounter) {
+        snap->counters.emplace_back(std::move(metric),
+                                    static_cast<std::uint64_t>(value));
+      } else {
+        snap->gauges.emplace_back(std::move(metric),
+                                  static_cast<std::int64_t>(value));
+      }
+    }
+  });
+  std::sort(snap->counters.begin(), snap->counters.end());
+  std::sort(snap->gauges.begin(), snap->gauges.end());
+  std::sort(snap->histograms.begin(), snap->histograms.end(),
+            [](const obs::HistogramSnapshot& a,
+               const obs::HistogramSnapshot& b) { return a.name < b.name; });
 }
 
 }  // namespace tfmae::serve

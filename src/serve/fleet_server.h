@@ -62,8 +62,9 @@ namespace tfmae::serve {
 
 /// What admission control does when the ready-window queue is full
 /// (docs/RESILIENCE.md, "Serving resilience"). Every policy is typed and
-/// accounted (`serve.shed.*`); none silently drops an ADMITTED window —
-/// kDropOldest surfaces the victim as a shed-marked result.
+/// accounted (ServeStats `rows_overloaded`, `shed_*`); none silently drops
+/// an ADMITTED window — kDropOldest surfaces the victim as a shed-marked
+/// result.
 enum class ShedPolicy {
   /// Refuse the new row with kOverloaded; the row is not consumed and the
   /// caller retries after a Flush. The pre-PR-9 behaviour.
@@ -77,7 +78,7 @@ enum class ShedPolicy {
   /// Before admission, the pushing thread self-services the backlog
   /// (bounded flush-and-wait up to shed_deadline_ms); if the queue is still
   /// full at the deadline the push fails kOverloaded and
-  /// `serve.shed.deadline_expired` counts it. Favors completeness over
+  /// `shed_deadline_expired` counts it. Favors completeness over
   /// ingest latency.
   kBlockDeadline,
 };
@@ -128,7 +129,7 @@ struct FleetOptions {
   /// valid predecessor to fall back to.
   int snapshot_keep = 4;
   /// Scoring watchdog: a batch in flight longer than this many ms is
-  /// declared stalled — `serve.watchdog.stalls` is bumped and, when the
+  /// declared stalled — `watchdog_stalls` is bumped and, when the
   /// flight recorder is armed, a postmortem is dumped. 0 = no watchdog
   /// thread.
   std::int64_t watchdog_stall_ms = 0;
@@ -160,7 +161,7 @@ struct FleetOptions {
   /// CalibrateThreshold.
   std::int64_t drift_check_every = 0;
   /// Two-sample K-S distance above which a drift alarm fires
-  /// (`serve.drift` ledger event + `serve.drift.alarms` counter).
+  /// (`serve.drift` ledger event + `drift_alarms` counter).
   double drift_threshold = 0.35;
   /// Recent-score reservoir capacity (a ring of the newest scores).
   std::int64_t drift_reservoir = 512;
@@ -197,8 +198,11 @@ struct ScoredWindow {
   bool shed = false;
 };
 
-/// Cumulative serving counters (always counted; the obs registry mirrors
-/// them as `serve.*` metrics while TFMAE_OBS is on).
+/// Cumulative serving counters, gauges and latency histograms. The server
+/// keeps one copy of each quantity, counted with TFMAE_OBS on or off;
+/// stats() reads it, and /statusz (ServeStatsJson) and the `serve.*`
+/// families of /metrics (AppendServeMetrics) render that one read, each
+/// quantity under its field name.
 struct ServeStats {
   std::int64_t streams = 0;
   std::int64_t rows_pushed = 0;        ///< rows absorbed into a stream
@@ -227,13 +231,13 @@ struct ServeStats {
   std::int64_t snapshots_failed = 0;
   std::int64_t snapshot_index = 0;     ///< index of the newest snapshot cut
   std::int64_t watchdog_stalls = 0;
-  double p50_window_ns = 0.0;          ///< per-window score latency quantiles
+  double p50_window_ns = 0.0;  ///< score_window_hist quantiles
   double p95_window_ns = 0.0;
   double p99_window_ns = 0.0;
-  // Stage-attributed timeline sums (ns), mirrored by the `serve.stage.*`
-  // histograms while TFMAE_OBS is on. Queue is each window's own
-  // admit->pop wait; batch/score/result are the window's share of its
-  // batch's prepare/score/commit phases. By construction
+  // Stage-attributed timeline sums (ns), the sums of the stage histograms
+  // below. Queue is each window's own admit->pop wait; batch/score/result
+  // are the window's share of its batch's prepare/score/commit phases. By
+  // construction
   //   stage_total_ns == stage_queue_ns + stage_batch_ns
   //                     + stage_score_ns + stage_result_ns.
   std::int64_t stage_queue_ns = 0;
@@ -241,7 +245,7 @@ struct ServeStats {
   std::int64_t stage_score_ns = 0;
   std::int64_t stage_result_ns = 0;
   std::int64_t stage_total_ns = 0;
-  double p50_e2e_ns = 0.0;  ///< experienced admit->commit latency quantiles
+  double p50_e2e_ns = 0.0;  ///< e2e_hist quantiles
   double p95_e2e_ns = 0.0;
   double p99_e2e_ns = 0.0;
   std::int64_t slo_latency_breaches = 0;    ///< windows over the latency SLO
@@ -251,12 +255,33 @@ struct ServeStats {
   std::int64_t drift_checks = 0;            ///< reservoir-vs-reference checks
   std::int64_t drift_alarms = 0;            ///< checks over drift_threshold
   double drift_ks = 0.0;  ///< latest K-S distance vs the calibration reference
+  // Latency histograms, copied together in one latency_mu_ section: every
+  // scored window adds one sample to the score-window and the five stage
+  // histograms, so their counts agree in any one read (the e2e histogram
+  // skips windows restored from a snapshot). /statusz and /metrics name a
+  // stage histogram after its sum above (`stage_queue_ns`), the other two
+  // `score_window_ns` and `e2e_ns`.
+  obs::HistogramSnapshot score_window_hist;  ///< per-window score latency
+  obs::HistogramSnapshot e2e_hist;  ///< experienced admit->commit latency
+  obs::HistogramSnapshot stage_queue_hist;
+  obs::HistogramSnapshot stage_batch_hist;
+  obs::HistogramSnapshot stage_score_hist;
+  obs::HistogramSnapshot stage_result_hist;
+  obs::HistogramSnapshot stage_total_hist;
 };
 
 /// One-line JSON rendering of ServeStats — the payload of the /statusz
-/// endpoint and of `tfmae_serve --stats_every` periodic lines. Keys match
-/// the ServeStats field names; stable key order.
+/// endpoint and of `tfmae_serve --stats_every` periodic lines. Keys are
+/// the field names in a stable order; a histogram prints its sum.
 std::string ServeStatsJson(const ServeStats& stats);
+
+/// Adds the ServeStats counters, gauges and histograms to `snap` as
+/// `serve.<name>`, under the names ServeStatsJson prints (rendered
+/// `tfmae_serve_<name>`, counters with `_total`), and keeps the snapshot's
+/// by-name order. The fractional fields (latency quantiles, drift_ks) stay
+/// out: the histograms carry the quantiles, and a gauge holds an integer.
+/// What the /metrics endpoint of `tfmae_serve` renders.
+void AppendServeMetrics(const ServeStats& stats, obs::MetricsSnapshot* snap);
 
 /// Serves thousands of concurrent streams from one process.
 ///
@@ -384,7 +409,8 @@ class FleetServer {
   /// Approximate resident bytes of one stream's state.
   std::int64_t ApproxBytesPerStream() const;
 
-  /// Cumulative serving counters (latency quantiles computed on call).
+  /// Cumulative serving counters and histograms (latency quantiles
+  /// computed on call).
   ServeStats stats() const;
 
  private:
@@ -400,10 +426,9 @@ class FleetServer {
   /// Ensures >= `want` capture-verified lanes; requires score_mu_. Returns
   /// false when capture fails (the batch falls back to eager scoring).
   bool EnsureLanesLocked(std::int64_t want, const core::MaskedWindow& example);
-  void RecordLatency(std::uint64_t ns_per_window, std::int64_t windows);
-  /// Post-commit accounting of one scored batch: per-stage histograms and
-  /// sums, experienced-latency quantile samples, per-stream SLO budgets,
-  /// the drift reservoir, and sampled chrome-trace spans. `batch` is the
+  /// Post-commit accounting of one scored batch: the score-window, stage
+  /// and experienced-latency histograms, per-stream SLO budgets, the drift
+  /// reservoir, and sampled chrome-trace spans. `batch` is the
   /// scored batch in admission order; the t_* stamps are the batch's phase
   /// boundaries on the local NowNs() clock.
   void AccountBatch(const std::vector<Request>& batch,
@@ -444,8 +469,13 @@ class FleetServer {
   // One batched pass at a time: the process-wide ThreadPool supports a
   // single dispatching thread (util/thread_pool.h), so batch execution is
   // serialized here while ingest continues concurrently.
-  mutable std::mutex score_mu_;
+  std::mutex score_mu_;
   std::vector<std::unique_ptr<Lane>> lanes_;
+  /// Lane summary for stats(), which reads it without score_mu_.
+  std::atomic<std::int64_t> plan_lanes_{0};
+  std::atomic<std::int64_t> quant_lanes_{0};
+  std::atomic<std::int64_t> plan_arena_bytes_{0};
+  std::atomic<std::int64_t> quant_arena_bytes_{0};
   /// Phase-1 outputs, one per window of the largest batch so far; their
   /// buffers are reused batch after batch. Guarded by score_mu_.
   std::vector<core::MaskedWindow> prep_slots_;
@@ -495,18 +525,17 @@ class FleetServer {
   std::condition_variable watchdog_cv_;
   bool watchdog_stop_ = false;  ///< guarded by watchdog_mu_
 
-  // Per-window score latency (the registry's serve.score.window_ns, kept
-  // here too so that ServeStats counts with TFMAE_OBS off), guarded by
-  // latency_mu_. The stage sums and the experienced-latency
-  // (admit->commit) histogram share the lock: all are written once per
-  // batch from the accounting pass.
+  // Latency histograms (see ServeStats), all written by AccountBatch in
+  // one latency_mu_ section per batch, so a copy taken under the lock is a
+  // consistent cut.
   mutable std::mutex latency_mu_;
   obs::HistogramSnapshot window_latency_ns_;
-  std::uint64_t stage_queue_sum_ns_ = 0;
-  std::uint64_t stage_batch_sum_ns_ = 0;
-  std::uint64_t stage_score_sum_ns_ = 0;
-  std::uint64_t stage_result_sum_ns_ = 0;
   obs::HistogramSnapshot e2e_latency_ns_;
+  obs::HistogramSnapshot stage_queue_ns_;
+  obs::HistogramSnapshot stage_batch_ns_;
+  obs::HistogramSnapshot stage_score_ns_;
+  obs::HistogramSnapshot stage_result_ns_;
+  obs::HistogramSnapshot stage_total_ns_;
   bool drained_event_emitted_ = false;
 
   // Per-stream SLO accounting (rings live in each Entry, under entry.mu;

@@ -1,11 +1,5 @@
 #include "serve/fleet_snapshot.h"
 
-#include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <system_error>
-
 #include "util/checkpoint_file.h"
 #include "util/fault.h"
 #include "util/logging.h"
@@ -18,7 +12,6 @@ constexpr char kStreamsSection[] = "fleet.streams";
 constexpr char kPendingSection[] = "fleet.pending";
 
 constexpr char kFilePrefix[] = "fleet_";
-constexpr char kFileSuffix[] = ".tfmae";
 
 std::vector<char> EncodeMeta(const FleetSnapshotData& d) {
   util::ByteWriter w;
@@ -148,41 +141,6 @@ bool DecodePending(const std::vector<char>& payload, FleetSnapshotData* d,
   return true;
 }
 
-/// Snapshot index encoded in a file name; -1 when `name` is not a fleet
-/// snapshot file.
-std::int64_t IndexFromFilename(const std::string& name) {
-  const std::size_t prefix_len = sizeof(kFilePrefix) - 1;
-  const std::size_t suffix_len = sizeof(kFileSuffix) - 1;
-  if (name.size() <= prefix_len + suffix_len ||
-      name.compare(0, prefix_len, kFilePrefix) != 0 ||
-      name.compare(name.size() - suffix_len, suffix_len, kFileSuffix) != 0) {
-    return -1;
-  }
-  const std::string digits =
-      name.substr(prefix_len, name.size() - prefix_len - suffix_len);
-  if (digits.empty() ||
-      digits.find_first_not_of("0123456789") != std::string::npos) {
-    return -1;
-  }
-  return std::strtoll(digits.c_str(), nullptr, 10);
-}
-
-/// All snapshot files in `dir` as (index, path), highest index first.
-std::vector<std::pair<std::int64_t, std::string>> ListSnapshots(
-    const std::string& dir) {
-  std::vector<std::pair<std::int64_t, std::string>> found;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file(ec)) continue;
-    const std::int64_t index =
-        IndexFromFilename(entry.path().filename().string());
-    if (index >= 0) found.emplace_back(index, entry.path().string());
-  }
-  std::sort(found.begin(), found.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  return found;
-}
-
 }  // namespace
 
 bool WriteFleetSnapshot(const FleetSnapshotData& data, const std::string& path,
@@ -223,16 +181,14 @@ std::optional<FleetSnapshotData> ReadFleetSnapshot(const std::string& path,
 }
 
 std::string FleetSnapshotPath(const std::string& dir, std::uint64_t index) {
-  char name[32];
-  std::snprintf(name, sizeof(name), "%s%08llu%s", kFilePrefix,
-                static_cast<unsigned long long>(index), kFileSuffix);
-  return (std::filesystem::path(dir) / name).string();
+  return util::NumberedFilePath(dir, kFilePrefix,
+                                static_cast<std::int64_t>(index));
 }
 
 std::optional<std::pair<std::string, FleetSnapshotData>>
 FindLatestValidFleetSnapshot(const std::string& dir, std::string* error) {
   std::string last_error = "no fleet snapshot files in " + dir;
-  for (const auto& [index, path] : ListSnapshots(dir)) {
+  for (const auto& [index, path] : util::ListNumberedFiles(dir, kFilePrefix)) {
     std::string open_error;
     if (auto data = ReadFleetSnapshot(path, &open_error)) {
       return std::make_pair(path, std::move(*data));
@@ -247,12 +203,7 @@ FindLatestValidFleetSnapshot(const std::string& dir, std::string* error) {
 }
 
 void PruneFleetSnapshots(const std::string& dir, int keep_last) {
-  const auto snapshots = ListSnapshots(dir);
-  std::error_code ec;
-  for (std::size_t i = static_cast<std::size_t>(std::max(0, keep_last));
-       i < snapshots.size(); ++i) {
-    std::filesystem::remove(snapshots[i].second, ec);
-  }
+  util::PruneNumberedFiles(dir, kFilePrefix, keep_last);
 }
 
 }  // namespace tfmae::serve

@@ -11,7 +11,8 @@
 // tmp+rename writes, per-section CRC-32, whole-file CRC, so a torn or
 // bit-flipped snapshot is detected and skipped as a unit.
 //
-// Recovery policy mirrors core/checkpoint.h: snapshots are numbered
+// Recovery policy mirrors core/checkpoint.h, on the same numbered-file
+// helpers of util/checkpoint_file.h: snapshots are numbered
 // "fleet_<index>.tfmae" inside a directory, FindLatestValidFleetSnapshot
 // walks from the highest index down past corrupt files, and old snapshots
 // are pruned to keep_last. Restore semantics (FleetServer::Restore): the

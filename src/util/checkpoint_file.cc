@@ -1,8 +1,12 @@
 #include "util/checkpoint_file.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <system_error>
 
 #include "util/crc32.h"
 #include "util/fault.h"
@@ -17,6 +21,24 @@ constexpr char kMagic[8] = {'T', 'F', 'M', 'A', 'E', 'C', 'K', 'P'};
 // than allocated: length prefixes are attacker^W bit-flip controlled.
 constexpr std::uint64_t kMaxSectionName = 1 << 10;
 constexpr std::uint64_t kMaxPayload = 1ull << 34;  // 16 GiB
+
+constexpr std::string_view kNumberedSuffix = ".tfmae";
+
+/// The n of a "<prefix><digits>.tfmae" file name; -1 for any other name.
+std::int64_t NumberFromFilename(const std::string& name,
+                                std::string_view prefix) {
+  const std::size_t suffix_len = kNumberedSuffix.size();
+  if (name.size() <= prefix.size() + suffix_len ||
+      name.compare(0, prefix.size(), prefix) != 0 ||
+      name.compare(name.size() - suffix_len, suffix_len, kNumberedSuffix) !=
+          0) {
+    return -1;
+  }
+  const std::string digits =
+      name.substr(prefix.size(), name.size() - prefix.size() - suffix_len);
+  if (digits.find_first_not_of("0123456789") != std::string::npos) return -1;
+  return std::strtoll(digits.c_str(), nullptr, 10);
+}
 
 }  // namespace
 
@@ -214,6 +236,42 @@ const std::vector<char>* CheckpointFileReader::Section(
     if (section_name == name) return &payload;
   }
   return nullptr;
+}
+
+// ---- Numbered containers ----------------------------------------------------
+
+std::string NumberedFilePath(const std::string& dir, std::string_view prefix,
+                             std::int64_t n) {
+  char number[24];
+  std::snprintf(number, sizeof(number), "%08lld", static_cast<long long>(n));
+  return (std::filesystem::path(dir) /
+          (std::string(prefix) + number + std::string(kNumberedSuffix)))
+      .string();
+}
+
+std::vector<std::pair<std::int64_t, std::string>> ListNumberedFiles(
+    const std::string& dir, std::string_view prefix) {
+  std::vector<std::pair<std::int64_t, std::string>> found;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    if (!entry.is_regular_file(ec)) continue;
+    const std::int64_t n =
+        NumberFromFilename(entry.path().filename().string(), prefix);
+    if (n >= 0) found.emplace_back(n, entry.path().string());
+  }
+  std::sort(found.begin(), found.end(),
+            [](const auto& a, const auto& b) { return a.first > b.first; });
+  return found;
+}
+
+void PruneNumberedFiles(const std::string& dir, std::string_view prefix,
+                        int keep_last) {
+  const auto files = ListNumberedFiles(dir, prefix);
+  std::error_code ec;
+  for (std::size_t i = static_cast<std::size_t>(std::max(0, keep_last));
+       i < files.size(); ++i) {
+    std::filesystem::remove(files[i].second, ec);
+  }
 }
 
 }  // namespace tfmae::util

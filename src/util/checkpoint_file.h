@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -111,6 +112,24 @@ class CheckpointFileReader {
  private:
   std::vector<std::pair<std::string, std::vector<char>>> sections_;
 };
+
+// ---- Numbered containers ----------------------------------------------------
+// A directory of containers named "<prefix><n zero-padded to 8>.tfmae", where
+// n is a training step ("ckpt_") or a fleet snapshot index ("fleet_").
+// Recovery walks them from the highest n down.
+
+/// "<dir>/<prefix><n padded to 8>.tfmae".
+std::string NumberedFilePath(const std::string& dir, std::string_view prefix,
+                             std::int64_t n);
+
+/// Every regular file "<prefix><digits>.tfmae" in `dir` as (n, path),
+/// highest n first; empty when `dir` cannot be read.
+std::vector<std::pair<std::int64_t, std::string>> ListNumberedFiles(
+    const std::string& dir, std::string_view prefix);
+
+/// Deletes all but the `keep_last` highest-numbered of those files.
+void PruneNumberedFiles(const std::string& dir, std::string_view prefix,
+                        int keep_last);
 
 }  // namespace tfmae::util
 

@@ -17,14 +17,13 @@
 namespace tfmae::obs {
 namespace {
 
-// ---- Quantile / Percentile edge cases ------------------------------------
+// ---- Quantile edge cases ------------------------------------------------
 
 TEST(HistogramQuantileEdgeTest, EmptySnapshotIsZeroEverywhere) {
   HistogramSnapshot h;
   EXPECT_EQ(h.Quantile(0.0), 0.0);
   EXPECT_EQ(h.Quantile(0.5), 0.0);
   EXPECT_EQ(h.Quantile(1.0), 0.0);
-  EXPECT_EQ(h.Percentile(0.5), 0.0);
   EXPECT_EQ(h.Mean(), 0.0);
 }
 
@@ -47,7 +46,6 @@ TEST(HistogramQuantileEdgeTest, AllMassInBucketZeroIsExactlyZero) {
   h.count = 100;
   for (double p : {0.0, 0.01, 0.5, 0.99, 1.0}) {
     EXPECT_EQ(h.Quantile(p), 0.0) << "p=" << p;
-    EXPECT_EQ(h.Percentile(p), 0.0) << "p=" << p;
   }
 }
 

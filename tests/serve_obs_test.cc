@@ -1,20 +1,33 @@
 // Live serving observability suite (docs/OBSERVABILITY.md, "Live endpoints
 // & SLOs"): stage-attributed window timelines, per-stream SLO error
-// budgets, the online score-drift monitor, and the /statusz JSON payload.
+// budgets, the online score-drift monitor, the /statusz JSON payload, and
+// the `serve.*` families of /metrics.
 //
 // Stage sums, e2e quantiles, SLO ledgers, and the drift monitor are plain
 // ServeStats state (not obs macros), so everything here pins behavior in
 // the default tier-1 build — no TFMAE_OBS required.
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
+#include <map>
+#include <set>
+#include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/detector.h"
 #include "core/drift.h"
+#include "obs/export.h"
+#include "obs/prom_export.h"
+#include "obs/trace.h"
 #include "serve/fleet_server.h"
 
 namespace tfmae::serve {
@@ -361,6 +374,269 @@ TEST(ServeObsTest, ServeStatsJsonIsWellFormedAndCarriesLiveValues) {
   // Rendering the same stats twice is byte-identical (the payload feeds
   // canonical dumps and scrape diffs).
   EXPECT_EQ(json, ServeStatsJson(stats));
+}
+
+// ---- /metrics families ----------------------------------------------------
+
+// A rendered exposition: each sample line's series (name and labels) with
+// its value text, and the number of `# TYPE` lines per family.
+struct Exposition {
+  std::map<std::string, std::string> samples;
+  std::map<std::string, int> types;
+
+  // Value text of one series; "" when absent.
+  std::string Value(const std::string& series) const {
+    const auto it = samples.find(series);
+    return it == samples.end() ? std::string() : it->second;
+  }
+};
+
+Exposition ParseExposition(const std::string& text) {
+  Exposition e;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      ++e.types[line.substr(7, line.find(' ', 7) - 7)];
+    } else if (!line.empty() && line.front() != '#') {
+      const std::size_t space = line.rfind(' ');
+      e.samples[line.substr(0, space)] = line.substr(space + 1);
+    }
+  }
+  return e;
+}
+
+// What /metrics of `tfmae_serve` renders for `server`.
+std::string RenderMetrics(const FleetServer& server) {
+  obs::MetricsSnapshot snap = obs::SnapshotWithFaults();
+  AppendServeMetrics(server.stats(), &snap);
+  return obs::RenderPrometheusText(snap);
+}
+
+// One histogram family's `_sum` and `_count`.
+struct PromHistogram {
+  std::uint64_t sum = 0;
+  std::uint64_t count = 0;
+};
+
+// Reads one histogram family and checks it as scripts/live_smoke.py does:
+// in ascending `le` order the buckets are cumulative, and `+Inf` equals
+// `_count`.
+PromHistogram CheckedHistogram(const Exposition& e, const std::string& family) {
+  PromHistogram h;
+  const std::string sum = e.Value(family + "_sum");
+  const std::string count = e.Value(family + "_count");
+  EXPECT_FALSE(sum.empty()) << family;
+  EXPECT_FALSE(count.empty()) << family;
+  if (sum.empty() || count.empty()) return h;
+  h.sum = std::stoull(sum);
+  h.count = std::stoull(count);
+  const std::string prefix = family + "_bucket{le=\"";
+  std::vector<std::pair<double, std::uint64_t>> buckets;
+  for (auto it = e.samples.lower_bound(prefix);
+       it != e.samples.end() && it->first.rfind(prefix, 0) == 0; ++it) {
+    const std::string le = it->first.substr(
+        prefix.size(), it->first.size() - prefix.size() - 2);
+    buckets.emplace_back(
+        le == "+Inf" ? std::numeric_limits<double>::infinity() : std::stod(le),
+        std::stoull(it->second));
+  }
+  std::sort(buckets.begin(), buckets.end());
+  EXPECT_FALSE(buckets.empty()) << family;
+  if (buckets.empty()) return h;
+  EXPECT_TRUE(std::isinf(buckets.back().first)) << family << " lacks +Inf";
+  EXPECT_EQ(buckets.back().second, h.count) << family;
+  for (std::size_t i = 1; i < buckets.size(); ++i) {
+    EXPECT_LE(buckets[i - 1].second, buckets[i].second)
+        << family << " buckets not cumulative";
+  }
+  return h;
+}
+
+// `"name":` as ServeStatsJson prints a key.
+std::string JsonKey(const char* name) {
+  std::string key = "\"";
+  key.append(name).append("\":");
+  return key;
+}
+
+// Switches recording off for one test and restores the previous state.
+class RecordingOff {
+ public:
+  RecordingOff() { obs::SetEnabled(false); }
+  ~RecordingOff() { obs::SetEnabled(was_); }
+
+ private:
+  bool was_ = obs::Enabled();
+};
+
+// With recording off the registry holds no serve.* metric, yet /metrics
+// carries every ServeStats counter, gauge and histogram, each under the
+// name /statusz prints and with the value the same stats() read returned.
+TEST(ServeObsTest, MetricsCarryEveryServeStatsFieldWithRecordingOff) {
+  RecordingOff off;
+  FleetOptions options = BaseOptions();
+  options.slo_latency_ns = 1;  // every window breaches: nonzero SLO counts
+  options.slo_window = 8;
+  options.slo_budget = 0.0;
+  options.drift_check_every = 8;
+  FleetServer server(SharedDetector(), options);
+  server.CalibrateThreshold(SharedDetector()->Score(TrainSeries()), 0.05);
+  RunLoad(&server, 3, 60);
+  const ServeStats stats = server.stats();
+  ASSERT_GT(stats.windows_scored, 0);
+  ASSERT_GT(stats.drift_checks, 0);
+
+  obs::MetricsSnapshot snap = obs::SnapshotWithFaults();
+  AppendServeMetrics(stats, &snap);
+  const Exposition e = ParseExposition(obs::RenderPrometheusText(snap));
+  const std::string json = ServeStatsJson(stats);
+
+  const std::pair<const char*, std::int64_t> counters[] = {
+      {"rows_pushed", stats.rows_pushed},
+      {"rows_overloaded", stats.rows_overloaded},
+      {"rows_rejected", stats.rows_rejected},
+      {"rows_quarantined", stats.rows_quarantined},
+      {"rows_warmup", stats.rows_warmup},
+      {"windows_enqueued", stats.windows_enqueued},
+      {"windows_scored", stats.windows_scored},
+      {"eager_windows", stats.eager_windows},
+      {"batches", stats.batches},
+      {"alerts", stats.alerts},
+      {"quant_fallbacks", stats.quant_fallbacks},
+      {"shed_dropped", stats.shed_dropped},
+      {"shed_deadline_expired", stats.shed_deadline_expired},
+      {"snapshots_written", stats.snapshots_written},
+      {"snapshots_failed", stats.snapshots_failed},
+      {"watchdog_stalls", stats.watchdog_stalls},
+      {"slo_latency_breaches", stats.slo_latency_breaches},
+      {"slo_staleness_breaches", stats.slo_staleness_breaches},
+      {"slo_exhausted_episodes", stats.slo_exhausted_episodes},
+      {"drift_checks", stats.drift_checks},
+      {"drift_alarms", stats.drift_alarms},
+  };
+  const std::pair<const char*, std::int64_t> gauges[] = {
+      {"streams", stats.streams},
+      {"max_batch", stats.max_batch},
+      {"plan_lanes", stats.plan_lanes},
+      {"quant_lanes", stats.quant_lanes},
+      {"plan_arena_bytes", stats.plan_arena_bytes},
+      {"quant_arena_bytes", stats.quant_arena_bytes},
+      {"peak_queue_depth", stats.peak_queue_depth},
+      {"bytes_per_stream", stats.bytes_per_stream},
+      {"snapshot_index", stats.snapshot_index},
+      {"slo_exhausted_streams", stats.slo_exhausted_streams},
+  };
+  for (const auto& [name, value] : counters) {
+    const std::string family = std::string("tfmae_serve_") + name + "_total";
+    EXPECT_EQ(e.Value(family), std::to_string(value)) << family;
+    EXPECT_EQ(e.types.count(family), 1u) << family;
+    EXPECT_NE(json.find(JsonKey(name) + std::to_string(value)),
+              std::string::npos)
+        << name;
+  }
+  for (const auto& [name, value] : gauges) {
+    const std::string family = std::string("tfmae_serve_") + name;
+    EXPECT_EQ(e.Value(family), std::to_string(value)) << family;
+    EXPECT_EQ(e.types.count(family), 1u) << family;
+    EXPECT_NE(json.find(JsonKey(name) + std::to_string(value)),
+              std::string::npos)
+        << name;
+  }
+  EXPECT_EQ(e.Value("tfmae_serve_degraded"), stats.degraded ? "1" : "0");
+  EXPECT_GT(stats.slo_latency_breaches, 0);
+  EXPECT_GT(stats.alerts, 0);
+
+  // The stage sums appear as the histograms' _sum, and the five stage
+  // histograms and the score-window one share one _count.
+  const std::pair<const char*, std::int64_t> stages[] = {
+      {"queue", stats.stage_queue_ns},   {"batch", stats.stage_batch_ns},
+      {"score", stats.stage_score_ns},   {"result", stats.stage_result_ns},
+      {"total", stats.stage_total_ns},
+  };
+  const std::uint64_t windows =
+      static_cast<std::uint64_t>(stats.windows_scored);
+  for (const auto& [stage, sum] : stages) {
+    const PromHistogram h =
+        CheckedHistogram(e, std::string("tfmae_serve_stage_") + stage + "_ns");
+    EXPECT_EQ(h.sum, static_cast<std::uint64_t>(sum)) << stage;
+    EXPECT_EQ(h.count, windows) << stage;
+  }
+  EXPECT_GT(stats.stage_score_ns, 0);
+  EXPECT_EQ(CheckedHistogram(e, "tfmae_serve_score_window_ns").count, windows);
+  EXPECT_EQ(CheckedHistogram(e, "tfmae_serve_e2e_ns").count, windows);
+
+  // No family twice, and exactly the expected number of serve families:
+  // the counters, the gauges with `degraded`, and seven histograms.
+  std::size_t serve_families = 0;
+  for (const auto& [family, lines] : e.types) {
+    EXPECT_EQ(lines, 1) << family;
+    if (family.rfind("tfmae_serve_", 0) == 0) ++serve_families;
+  }
+  EXPECT_EQ(serve_families, std::size(counters) + std::size(gauges) + 1 + 7);
+}
+
+// Renders taken while two producers push and batches score each reconcile
+// as scripts/live_smoke.py requires of a scrape: one read of the server is
+// a consistent cut of its stage and score-window histograms.
+TEST(ServeObsTest, RendersDuringLoadEachReconcile) {
+  FleetOptions options = BaseOptions();
+  options.batch_max = 4;
+  FleetServer server(SharedDetector(), options);
+  constexpr int kProducers = 2;
+  constexpr std::int64_t kStreamsEach = 3;
+  for (std::int64_t s = 0; s < kProducers * kStreamsEach; ++s) {
+    server.OpenStream();
+  }
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&server, &stop, p] {
+      for (std::int64_t t = 0; !stop.load(std::memory_order_relaxed); ++t) {
+        for (std::int64_t k = 0; k < kStreamsEach; ++k) {
+          const std::int64_t s = p * kStreamsEach + k;
+          while (server.Push(s, RowFor(s, t)) == AdmitStatus::kOverloaded) {
+            server.Flush();
+          }
+        }
+      }
+    });
+  }
+
+  const char* const kStages[] = {"queue", "batch", "score", "result"};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  int renders = 0;
+  std::set<std::uint64_t> counts_seen;
+  while ((renders < 1000 || counts_seen.size() < 3) &&
+         std::chrono::steady_clock::now() < deadline) {
+    const Exposition e = ParseExposition(RenderMetrics(server));
+    const PromHistogram total =
+        CheckedHistogram(e, "tfmae_serve_stage_total_ns");
+    std::uint64_t stage_sum = 0;
+    for (const char* stage : kStages) {
+      const PromHistogram h =
+          CheckedHistogram(e, std::string("tfmae_serve_stage_") + stage + "_ns");
+      EXPECT_EQ(h.count, total.count) << stage << " at render " << renders;
+      stage_sum += h.sum;
+    }
+    EXPECT_EQ(stage_sum, total.sum) << "at render " << renders;
+    EXPECT_EQ(CheckedHistogram(e, "tfmae_serve_score_window_ns").count,
+              total.count)
+        << "at render " << renders;
+    for (const auto& [family, lines] : e.types) {
+      EXPECT_EQ(lines, 1) << family;
+    }
+    counts_seen.insert(total.count);
+    ++renders;
+    if (HasFailure()) break;
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& producer : producers) producer.join();
+  server.Drain();
+  EXPECT_GE(renders, 1000);
+  // The renders interleaved with scoring: they saw the counts grow.
+  EXPECT_GE(counts_seen.size(), 3u);
 }
 
 }  // namespace
