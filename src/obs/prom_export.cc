@@ -4,8 +4,6 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "obs/export.h"
-
 namespace tfmae::obs {
 namespace {
 
@@ -137,10 +135,6 @@ std::string RenderPrometheusText(const MetricsSnapshot& snap) {
     AppendHistogram(&out, h);
   }
   return out;
-}
-
-std::string RenderPrometheusText() {
-  return RenderPrometheusText(SnapshotWithFaults());
 }
 
 }  // namespace tfmae::obs

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/http_endpoint.h"
+#include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/prom_export.h"
 
@@ -143,7 +144,7 @@ TEST(HttpEndpointTest, MetricsScrapeRoundTrip) {
   endpoint.Handle("/metrics", [] {
     HttpResponse r;
     r.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    r.body = RenderPrometheusText();
+    r.body = RenderPrometheusText(SnapshotWithFaults());
     return r;
   });
   ASSERT_TRUE(endpoint.Start(0));
@@ -157,7 +158,7 @@ TEST(HttpEndpointTest, MetricsScrapeRoundTrip) {
             std::string::npos);
   // The scraped body is exactly what the renderer produced: Content-Length
   // framing did not truncate or pad it.
-  EXPECT_EQ(body, RenderPrometheusText());
+  EXPECT_EQ(body, RenderPrometheusText(SnapshotWithFaults()));
   endpoint.Stop();
 }
 

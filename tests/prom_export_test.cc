@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/prom_export.h"
 
@@ -161,7 +162,7 @@ TEST(PromExportTest, LiveRegistryMetricsSurfaceInScrape) {
   reg.HistogramRecord(hist, 1000);
   reg.HistogramRecord(hist, 2000);
 
-  const std::string out = RenderPrometheusText();
+  const std::string out = RenderPrometheusText(SnapshotWithFaults());
   EXPECT_NE(out.find("tfmae_promtest_scrape_hits_total 5\n"),
             std::string::npos);
   EXPECT_NE(out.find("tfmae_promtest_scrape_depth 11\n"), std::string::npos);
