@@ -21,7 +21,8 @@
 # plain: the full tier-1 suite in a Release build, including the run
 # ledger / flight recorder / report / registry-cap suites with the
 # 1/2/4-thread replay-determinism contract and the injected-fault
-# postmortem.
+# postmortem. This build compiles with -Werror, so any compiler warning
+# fails the mode.
 #
 # address: the memory-plane soak from DESIGN.md and every soak that wants
 # lifetime checking. The full suite runs under AddressSanitizer three
@@ -79,7 +80,8 @@ MODE="${1:-plain}"
 shift || true
 
 case "$MODE" in
-  plain|bench) CMAKE_FLAGS=() ;;
+  plain) CMAKE_FLAGS=("-DCMAKE_CXX_FLAGS=-Werror") ;;
+  bench) CMAKE_FLAGS=() ;;
   address|thread|undefined) CMAKE_FLAGS=("-DTFMAE_SANITIZE=$MODE") ;;
   *)
     echo "usage: $0 [plain|address|thread|undefined|bench] [ctest args...]" >&2

@@ -142,29 +142,9 @@ struct ReplayOp {
 
 void RunBinary(const ReplayOp& op) {
   const auto kind = static_cast<kn::BinaryKind>(op.m);
-  const float* a = op.in0;
-  const float* b = op.in1;
-  float* out = op.out;
-  if (op.n0 == op.out_n && op.n1 == op.out_n) {
-    kn::ForEachElemChunkCoarse(op.out_n, [=](std::int64_t s, std::int64_t e) {
-      for (std::int64_t i = s; i < e; ++i) {
-        out[i] = kn::ApplyBinary(kind, a[i], b[i]);
-      }
-    });
-    return;
-  }
-  // Broadcast path: rolling operand cursors instead of per-element modulo —
-  // same element order and arithmetic, no integer division in the loop.
-  const std::int64_t an = op.n0;
-  const std::int64_t bn = op.n1;
-  kn::ForEachElemChunkCoarse(op.out_n, [=](std::int64_t s, std::int64_t e) {
-    std::int64_t ia = s % an;
-    std::int64_t ib = s % bn;
-    for (std::int64_t i = s; i < e; ++i) {
-      out[i] = kn::ApplyBinary(kind, a[ia], b[ib]);
-      if (++ia == an) ia = 0;
-      if (++ib == bn) ib = 0;
-    }
+  kn::ForEachElemChunkCoarse(op.out_n, [&op, kind](std::int64_t s,
+                                                   std::int64_t e) {
+    kn::BinaryRange(kind, op.in0, op.n0, op.in1, op.n1, s, e, op.out);
   });
 }
 

@@ -53,6 +53,10 @@ class Adam {
   /// Deep copy of the moments and step counter.
   AdamState ExportState() const;
 
+  /// The same copy into *state, reusing its buffers (the numeric guard
+  /// snapshots every committed step this way).
+  void ExportState(AdamState* state) const;
+
   /// Restores state exported from an optimizer over the same parameter
   /// shapes. Returns false (state unchanged) on a shape mismatch.
   bool ImportState(const AdamState& state);

@@ -5,7 +5,7 @@
 // recovers. The guard sits between backward() and optimizer->Step():
 //
 //   loss.Backward();
-//   if (guard.PreStep(loss_value)) {   // loss and grad norm finite?
+//   if (guard.PreStep(loss_value)) {   // loss and gradients finite?
 //     optimizer->Step();
 //     guard.CommitGoodStep();          // snapshot weights + moments
 //   }                                  // else: skipped, restored, LR backed off
@@ -39,8 +39,9 @@ namespace tfmae::nn {
 
 /// Global L2 norm of the gradients currently on `parameters`, accumulated in
 /// double like Adam's own clipping pass. Returns NaN as soon as any element
-/// is non-finite (a plain sum would hide a lone NaN behind an Inf). Shared
-/// by the guard's health check and the run ledger's per-step record.
+/// is non-finite (a plain sum would hide a lone NaN behind an Inf). The run
+/// ledger's per-step record; the guard's health check tests the elements
+/// for finiteness directly, which gives the same verdict.
 double GlobalGradNorm(const std::vector<Tensor>& parameters);
 
 struct NumericGuardOptions {
@@ -67,7 +68,7 @@ class NumericGuard {
   NumericGuard(Adam* optimizer, NumericGuardOptions options = {});
 
   /// Health check for the step about to be applied. Returns true when
-  /// `loss_value` and the global gradient norm are finite (apply the step,
+  /// `loss_value` and every gradient element are finite (apply the step,
   /// then call CommitGoodStep). Returns false after skipping/restoring as
   /// documented above — the caller must NOT apply the step and should zero
   /// the gradients. Always true when the guard is disabled.

@@ -1,5 +1,7 @@
 #include "tensor/op_kernels.h"
 
+#include <cstring>
+
 #include "tensor/ops_internal.h"
 #include "tensor/shape.h"
 #include "util/thread_pool.h"
@@ -34,6 +36,10 @@ void BiasGeluRow(const float* x, const float* bias, std::int64_t n,
 }
 
 // out[j] = FastExp(in[j] * scale - max), max the largest in[j] * scale.
+// The pragma is FastExpV's (op_kernels.h), for _mm512_max_ps and
+// _mm512_reduce_max_ps here.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 void ScaledExpRow(const float* in, float* out, std::int64_t cols,
                   float scale) {
   float max_v = in[0] * scale;
@@ -59,6 +65,7 @@ void ScaledExpRow(const float* in, float* out, std::int64_t cols,
 #endif
   for (; j < cols; ++j) out[j] = FastExp(in[j] * scale - max_v);
 }
+#pragma GCC diagnostic pop
 }  // namespace
 
 void SoftmaxRows(const float* in, float* out, std::int64_t rows,
@@ -89,22 +96,61 @@ void SoftmaxRows(const float* in, float* out, std::int64_t rows,
   }
 }
 
+namespace {
+template <BinaryKind K>
+void BinaryRangeK(const float* lhs, std::int64_t lhs_n, const float* rhs,
+                  std::int64_t rhs_n, std::int64_t s, std::int64_t e,
+                  float* out) {
+  if (lhs_n < rhs_n) {
+    BroadcastBinaryRange<K, true>(rhs, lhs, lhs_n, s, e, out);
+  } else {
+    BroadcastBinaryRange<K, false>(lhs, rhs, rhs_n, s, e, out);
+  }
+}
+}  // namespace
+
+void BinaryRange(BinaryKind kind, const float* lhs, std::int64_t lhs_n,
+                 const float* rhs, std::int64_t rhs_n, std::int64_t s,
+                 std::int64_t e, float* out) {
+  switch (kind) {
+    case BinaryKind::kAdd:
+      return BinaryRangeK<BinaryKind::kAdd>(lhs, lhs_n, rhs, rhs_n, s, e, out);
+    case BinaryKind::kSub:
+      return BinaryRangeK<BinaryKind::kSub>(lhs, lhs_n, rhs, rhs_n, s, e, out);
+    case BinaryKind::kMul:
+      return BinaryRangeK<BinaryKind::kMul>(lhs, lhs_n, rhs, rhs_n, s, e, out);
+    case BinaryKind::kDiv:
+      return BinaryRangeK<BinaryKind::kDiv>(lhs, lhs_n, rhs, rhs_n, s, e, out);
+  }
+}
+
 void BiasGeluRange(const float* x, const float* bias, std::int64_t bn,
                    std::int64_t s, std::int64_t e, float* out,
                    float* tanh_out) {
-  std::int64_t i = s;
-  while (i < e) {
-    const std::int64_t ib = i % bn;
-    const std::int64_t n = std::min(bn - ib, e - i);
-    BiasGeluRow(x + i, bias + ib, n, out + i,
+  ForEachPeriodRun(bn, s, e, [=](std::int64_t i, std::int64_t j,
+                                 std::int64_t n) {
+    BiasGeluRow(x + i, bias + j, n, out + i,
                 tanh_out != nullptr ? tanh_out + i : nullptr);
-    i += n;
-  }
+  });
 }
 
 void Permute3Forward(const float* in, float* out,
                      const std::array<std::int64_t, 3>& in_shape,
                      const std::array<int, 3>& perm) {
+  if (perm == std::array<int, 3>{1, 0, 2}) {
+    // out[b][a][:] = in[a][b][:], one row copy per (b, a).
+    const std::int64_t rows_a = in_shape[0];
+    const std::int64_t rows_b = in_shape[1];
+    const std::int64_t cols = in_shape[2];
+    for (std::int64_t b = 0; b < rows_b; ++b) {
+      for (std::int64_t a = 0; a < rows_a; ++a) {
+        std::memcpy(out + (b * rows_a + a) * cols,
+                    in + (a * rows_b + b) * cols,
+                    static_cast<std::size_t>(cols) * sizeof(float));
+      }
+    }
+    return;
+  }
   const Shape shape_vec = {in_shape[0], in_shape[1], in_shape[2]};
   const auto in_strides = RowMajorStrides(shape_vec);
   const std::int64_t d0 = in_shape[static_cast<std::size_t>(perm[0])];

@@ -41,19 +41,70 @@ namespace tfmae::ops::kernels {
 /// and captured/fused replay programs.
 enum class BinaryKind { kAdd = 0, kSub = 1, kMul = 2, kDiv = 3 };
 
-inline float ApplyBinary(BinaryKind kind, float x, float y) {
-  switch (kind) {
-    case BinaryKind::kAdd:
-      return x + y;
-    case BinaryKind::kSub:
-      return x - y;
-    case BinaryKind::kMul:
-      return x * y;
-    case BinaryKind::kDiv:
-      return x / y;
+template <BinaryKind K>
+inline float ApplyBinary(float x, float y) {
+  if constexpr (K == BinaryKind::kAdd) {
+    return x + y;
+  } else if constexpr (K == BinaryKind::kSub) {
+    return x - y;
+  } else if constexpr (K == BinaryKind::kMul) {
+    return x * y;
+  } else {
+    return x / y;
   }
-  return 0.0f;
 }
+
+/// Walks the elements [s, e) of a tensor paired with an operand that
+/// repeats every `period` elements, as runs that stay inside one period:
+/// run(i, j, n) pairs elements [i, i + n) with operand elements [j, j + n).
+/// One division per call, none per element.
+template <typename Run>
+inline void ForEachPeriodRun(std::int64_t period, std::int64_t s,
+                             std::int64_t e, Run&& run) {
+  std::int64_t j = s % period;
+  for (std::int64_t i = s; i < e;) {
+    const std::int64_t n = std::min(period - j, e - i);
+    run(i, j, n);
+    i += n;
+    j = 0;
+  }
+}
+
+/// out[i] = big[i] K small[i % period] (the operands swapped when
+/// kSmallLhs) over [s, e), as contiguous runs. out may alias big. A scalar
+/// small operand (period 1) is one run.
+template <BinaryKind K, bool kSmallLhs>
+void BroadcastBinaryRange(const float* big, const float* small,
+                          std::int64_t period, std::int64_t s, std::int64_t e,
+                          float* out) {
+  if (period == 1) {
+    const float c = small[0];
+    for (std::int64_t i = s; i < e; ++i) {
+      out[i] =
+          kSmallLhs ? ApplyBinary<K>(c, big[i]) : ApplyBinary<K>(big[i], c);
+    }
+    return;
+  }
+  ForEachPeriodRun(period, s, e,
+                   [=](std::int64_t i, std::int64_t j, std::int64_t n) {
+                     const float* b = big + i;
+                     const float* c = small + j;
+                     float* o = out + i;
+                     for (std::int64_t k = 0; k < n; ++k) {
+                       o[k] = kSmallLhs ? ApplyBinary<K>(c[k], b[k])
+                                        : ApplyBinary<K>(b[k], c[k]);
+                     }
+                   });
+}
+
+/// out = lhs `kind` rhs over the elements [s, e) of a binary op whose
+/// smaller operand broadcasts (a scalar or a suffix shape: it repeats every
+/// lhs_n or rhs_n elements); equal counts are the same-shape case. The one
+/// forward of the eager BinaryOp and the plan's Binary op. out may alias
+/// the larger operand.
+void BinaryRange(BinaryKind kind, const float* lhs, std::int64_t lhs_n,
+                 const float* rhs, std::int64_t rhs_n, std::int64_t s,
+                 std::int64_t e, float* out);
 
 /// FastExp's Taylor polynomial of 2^f, highest power first.
 inline constexpr float kExp2Poly[7] = {
@@ -104,6 +155,12 @@ inline float GeluApprox(float v) {
 }
 
 #if defined(__AVX512F__)
+// GCC 12 reports the _mm512_undefined_*() merge source that the unmasked
+// min/max/shift/convert intrinsics pass as maybe-uninitialized wherever
+// they inline; those forms never read it. The pragma covers these inline
+// functions at every site they inline into.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 inline __m512 FastExpV(__m512 x) {
   // max_ps/min_ps return their second operand when either is NaN; this
   // operand order is std::max(x, lo) / std::min(x, hi) lane by lane.
@@ -146,13 +203,13 @@ inline __m512 GeluFromTanhV(__m512 v, __m512 t) {
 inline __m512 GeluApproxV(__m512 v) {
   return GeluFromTanhV(v, FastTanhV(GeluInnerV(v)));
 }
+#pragma GCC diagnostic pop
 #endif  // __AVX512F__
 
 /// out[i] = GeluApprox(x[i] + bias[i % bn]) over the elements [s, e) of a
 /// tensor whose bias repeats every `bn` elements. When `tanh_out` is not
 /// null it also receives the tanh inside each GeLU (the tracked op keeps it
-/// for backward). Runs as dense 16-lane rows: up to the next bias period
-/// boundary, then whole periods, then the rest.
+/// for backward). Runs as dense 16-lane rows (ForEachPeriodRun).
 void BiasGeluRange(const float* x, const float* bias, std::int64_t bn,
                    std::int64_t s, std::int64_t e, float* out,
                    float* tanh_out);
@@ -210,6 +267,8 @@ inline float SymmetricKlRow(const float* p_in, const float* q_in,
 
 /// Rank-3 permutation: out = transpose(in, perm) with in_shape the INPUT
 /// shape. Serial (the tensors involved are small; matches the eager op).
+/// Perm {1, 0, 2}, attention's head split and merge, copies whole rows of
+/// the last dimension; other perms walk element by element.
 void Permute3Forward(const float* in, float* out,
                      const std::array<std::int64_t, 3>& in_shape,
                      const std::array<int, 3>& perm);

@@ -115,13 +115,96 @@ BroadcastPlan PlanBroadcast(const Tensor& a, const Tensor& b) {
 }
 
 // Sums `grad` (numel = big) blockwise into a small-tensor-sized buffer
-// (caller-provided, at least small_n floats). Serial: the accumulation
-// order over the big range is part of the deterministic contract.
+// (caller-provided, at least small_n floats): out[j] starts at 0.0f and
+// adds grad[j], grad[j + small_n], ... in ascending row order. Serial: the
+// accumulation order over the big range is part of the deterministic
+// contract.
 void ReduceToSmall(const float* grad, std::int64_t big_n, std::int64_t small_n,
                    float* out) {
   std::fill(out, out + small_n, 0.0f);
-  for (std::int64_t i = 0; i < big_n; ++i) {
-    out[i % small_n] += grad[i];
+  for (std::int64_t r = 0; r < big_n; r += small_n) {
+    const float* row = grad + r;
+    for (std::int64_t j = 0; j < small_n; ++j) out[j] += row[j];
+  }
+}
+
+// grad * d(out)/d(big) and grad * d(out)/d(small) at one element, with
+// bv = big and sv = small. Add and Sub multiply by +-1, which is exact, so
+// those are the gradient itself or its negation.
+template <BinaryKind K, bool kSmallLhs>
+float BigGrad(float g, float bv, float sv) {
+  if constexpr (K == BinaryKind::kAdd) {
+    return g;
+  } else if constexpr (K == BinaryKind::kSub) {
+    return kSmallLhs ? -g : g;  // out = lhs - rhs; lhs is small when kSmallLhs
+  } else if constexpr (K == BinaryKind::kMul) {
+    return g * sv;
+  } else if constexpr (kSmallLhs) {
+    return g * (-sv / (bv * bv));  // out = small / big
+  } else {
+    return g * (1.0f / sv);  // out = big / small
+  }
+}
+
+template <BinaryKind K, bool kSmallLhs>
+float SmallGrad(float g, float bv, float sv) {
+  if constexpr (K == BinaryKind::kAdd) {
+    return g;
+  } else if constexpr (K == BinaryKind::kSub) {
+    return kSmallLhs ? g : -g;
+  } else if constexpr (K == BinaryKind::kMul) {
+    return g * bv;
+  } else if constexpr (kSmallLhs) {
+    return g * (1.0f / bv);
+  } else {
+    return g * (-bv / (sv * sv));
+  }
+}
+
+// BinaryOp's backward. The big operand's gradient takes grad * d(big) in
+// place; the small one's is column-summed from 0.0f in ascending row order
+// (ReduceToSmall's order) and accumulated after the big one's, which is
+// the order the gradient of x op x sums in.
+template <BinaryKind K, bool kSmallLhs>
+void BinaryBackward(const float* grad, const Tensor& big, const Tensor& small) {
+  const std::int64_t big_n = big.numel();
+  const std::int64_t period = small.numel();
+  const float* pb = big.data();
+  const float* ps = small.data();
+  if (big.requires_grad()) {
+    float* gb = big.impl()->EnsureGrad();
+    ParallelElems(big_n, [=](std::int64_t s, std::int64_t e) {
+      kernels::ForEachPeriodRun(
+          period, s, e, [=](std::int64_t i, std::int64_t j, std::int64_t n) {
+            for (std::int64_t k = 0; k < n; ++k) {
+              gb[i + k] +=
+                  BigGrad<K, kSmallLhs>(grad[i + k], pb[i + k], ps[j + k]);
+            }
+          });
+    });
+  }
+  if (small.requires_grad()) {
+    pool::Scratch acc(period);
+    float* pa = acc.data();
+    // Parallel over columns only: each column keeps its row order.
+    ParallelElems(period, [=](std::int64_t c0, std::int64_t c1) {
+      std::fill(pa + c0, pa + c1, 0.0f);
+      for (std::int64_t r = 0; r < big_n; r += period) {
+        for (std::int64_t j = c0; j < c1; ++j) {
+          pa[j] += SmallGrad<K, kSmallLhs>(grad[r + j], pb[r + j], ps[j]);
+        }
+      }
+    });
+    internal::AccumulateGrad(small, pa);
+  }
+}
+
+template <BinaryKind K>
+void BinaryBackwardK(const float* grad, const BroadcastPlan& plan) {
+  if (plan.small_is_lhs) {
+    BinaryBackward<K, true>(grad, plan.big, plan.small);
+  } else {
+    BinaryBackward<K, false>(grad, plan.big, plan.small);
   }
 }
 
@@ -141,85 +224,34 @@ const char* BinaryOpName(BinaryKind kind) {
 
 Tensor BinaryOp(const Tensor& a, const Tensor& b, BinaryKind kind) {
   BroadcastPlan plan = PlanBroadcast(a, b);
-  const Tensor& big = plan.big;
-  const Tensor& small = plan.small;
-  const std::int64_t big_n = big.numel();
-  const std::int64_t small_n = small.numel();
-  TFMAE_CHECK(big_n % small_n == 0);
+  const std::int64_t big_n = plan.big.numel();
+  TFMAE_CHECK(big_n % plan.small.numel() == 0);
 
-  Tensor out = Tensor::Empty(big.shape());
-  const float* pb = big.data();
-  const float* ps = small.data();
+  Tensor out = Tensor::Empty(plan.big.shape());
+  const float* pa = a.data();
+  const float* pb = b.data();
+  const std::int64_t a_n = a.numel();
+  const std::int64_t b_n = b.numel();
   float* po = out.data();
-  const bool small_lhs = plan.small_is_lhs;
   ParallelElems(big_n, [=](std::int64_t s, std::int64_t e) {
-    for (std::int64_t i = s; i < e; ++i) {
-      const float x = small_lhs ? ps[i % small_n] : pb[i];
-      const float y = small_lhs ? pb[i] : ps[i % small_n];
-      po[i] = kernels::ApplyBinary(kind, x, y);
-    }
+    kernels::BinaryRange(kind, pa, a_n, pb, b_n, s, e, po);
   });
   capture::NoteBinary(static_cast<int>(kind), a, b, out);
 
   if (ShouldTrack({a, b})) {
     SetGraph(&out, BinaryOpName(kind), {a, b}, [a, b, kind](TensorImpl& self) {
-      BroadcastPlan plan = PlanBroadcast(a, b);
-      const Tensor& big = plan.big;
-      const Tensor& small = plan.small;
-      const std::int64_t big_n = big.numel();
-      const std::int64_t small_n = small.numel();
+      const BroadcastPlan plan = PlanBroadcast(a, b);
       const float* grad = self.grad.get();
-      const float* pb = big.data();
-      const float* ps = small.data();
-      const bool small_lhs = plan.small_is_lhs;
-
-      // d(out)/d(big) and d(out)/d(small) per element (pooled scratch,
-      // fully overwritten below).
-      pool::Scratch big_grad(big_n);
-      pool::Scratch small_grad_full(big_n);
-      float* pbig_grad = big_grad.data();
-      float* psmall_grad = small_grad_full.data();
-      ParallelElems(big_n, [=](std::int64_t s, std::int64_t e) {
-        for (std::int64_t i = s; i < e; ++i) {
-          const float sv = ps[i % small_n];
-          const float bv = pb[i];
-          float d_big = 0.0f;
-          float d_small = 0.0f;
-          switch (kind) {
-            case BinaryKind::kAdd:
-              d_big = 1.0f;
-              d_small = 1.0f;
-              break;
-            case BinaryKind::kSub:
-              // out = lhs - rhs; lhs is small when small_lhs.
-              d_big = small_lhs ? -1.0f : 1.0f;
-              d_small = small_lhs ? 1.0f : -1.0f;
-              break;
-            case BinaryKind::kMul:
-              d_big = sv;
-              d_small = bv;
-              break;
-            case BinaryKind::kDiv: {
-              if (small_lhs) {
-                // out = small / big.
-                d_small = 1.0f / bv;
-                d_big = -sv / (bv * bv);
-              } else {
-                // out = big / small.
-                d_big = 1.0f / sv;
-                d_small = -bv / (sv * sv);
-              }
-              break;
-            }
-          }
-          pbig_grad[i] = grad[i] * d_big;
-          psmall_grad[i] = grad[i] * d_small;
-        }
-      });
-      internal::AccumulateGrad(big, big_grad.data());
-      pool::Scratch small_grad(small_n);
-      ReduceToSmall(small_grad_full.data(), big_n, small_n, small_grad.data());
-      internal::AccumulateGrad(small, small_grad.data());
+      switch (kind) {
+        case BinaryKind::kAdd:
+          return BinaryBackwardK<BinaryKind::kAdd>(grad, plan);
+        case BinaryKind::kSub:
+          return BinaryBackwardK<BinaryKind::kSub>(grad, plan);
+        case BinaryKind::kMul:
+          return BinaryBackwardK<BinaryKind::kMul>(grad, plan);
+        case BinaryKind::kDiv:
+          return BinaryBackwardK<BinaryKind::kDiv>(grad, plan);
+      }
     });
   }
   return out;
@@ -389,14 +421,19 @@ Tensor BiasGelu(const Tensor& x, const Tensor& bias) {
                pool::Scratch gpre(n);
                float* pg = gpre.data();
                ParallelElems(n, [=](std::int64_t s, std::int64_t e) {
-                 for (std::int64_t i = s; i < e; ++i) {
-                   const float v = px[i] + pb[i % bn];
-                   const float t = pt[i];
-                   const float d_inner =
-                       kGeluC * (1.0f + 3.0f * 0.044715f * v * v);
-                   pg[i] = grad[i] * (0.5f * (1.0f + t) +
-                                      0.5f * v * (1.0f - t * t) * d_inner);
-                 }
+                 kernels::ForEachPeriodRun(bn, s, e, [=](std::int64_t i0,
+                                                         std::int64_t j0,
+                                                         std::int64_t len) {
+                   for (std::int64_t k = 0; k < len; ++k) {
+                     const std::int64_t i = i0 + k;
+                     const float v = px[i] + pb[j0 + k];
+                     const float t = pt[i];
+                     const float d_inner =
+                         kGeluC * (1.0f + 3.0f * 0.044715f * v * v);
+                     pg[i] = grad[i] * (0.5f * (1.0f + t) +
+                                        0.5f * v * (1.0f - t * t) * d_inner);
+                   }
+                 });
                });
                internal::AccumulateGrad(x, gpre.data());
                if (bias.requires_grad()) {
@@ -429,7 +466,7 @@ void AddInPlace(Tensor* x, const Tensor& y) {
   float* px = x->data();
   const float* py = y.data();
   ParallelElems(n, [=](std::int64_t s, std::int64_t e) {
-    for (std::int64_t i = s; i < e; ++i) px[i] += py[i % yn];
+    kernels::BinaryRange(BinaryKind::kAdd, px, n, py, yn, s, e, px);
   });
 }
 

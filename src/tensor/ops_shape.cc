@@ -44,9 +44,25 @@ Tensor Permute3(const Tensor& x, const std::array<int, 3>& perm) {
   if (ShouldTrack({x})) {
     SetGraph(&out, "Permute3", {x}, [x, perm, out_shape](TensorImpl& self) {
       if (!x.requires_grad()) return;
-      const auto in_strides = RowMajorStrides(x.shape());
       const float* grad = self.grad.get();
       pool::Scratch gx(x.numel(), /*zero_fill=*/true);
+      if (perm == std::array<int, 3>{1, 0, 2}) {
+        // gx[a][b][:] = 0 + grad[b][a][:], one row per (b, a); the zero
+        // fill stays so a -0.0 gradient reads +0.0, as in the walk below.
+        const std::int64_t rows_b = out_shape[0];
+        const std::int64_t rows_a = out_shape[1];
+        const std::int64_t cols = out_shape[2];
+        for (std::int64_t b = 0; b < rows_b; ++b) {
+          for (std::int64_t a = 0; a < rows_a; ++a) {
+            float* dst = gx.data() + (a * rows_b + b) * cols;
+            const float* src = grad + (b * rows_a + a) * cols;
+            for (std::int64_t c = 0; c < cols; ++c) dst[c] += src[c];
+          }
+        }
+        internal::AccumulateGrad(x, gx.data());
+        return;
+      }
+      const auto in_strides = RowMajorStrides(x.shape());
       std::int64_t idx = 0;
       for (std::int64_t i = 0; i < out_shape[0]; ++i) {
         for (std::int64_t j = 0; j < out_shape[1]; ++j) {

@@ -96,7 +96,11 @@ void VnniRows(const std::uint8_t* a, const std::int8_t* packed_b,
       // SIMD paths must match it bit for bit.
       const __m512 cs = _mm512_mul_ps(
           a_scale_v, _mm512_maskz_loadu_ps(mask, col_scale + j0));
+      // The pragma is FastExpV's (op_kernels.h), for _mm512_cvtepi32_ps.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
       __m512 real = _mm512_mul_ps(_mm512_cvtepi32_ps(acc), cs);
+#pragma GCC diagnostic pop
       if (epilogue != Epilogue::kNone) {
         real = _mm512_add_ps(real, _mm512_maskz_loadu_ps(mask, bias + j0));
       }

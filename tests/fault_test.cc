@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -229,6 +230,50 @@ TEST(NumericGuardTest, OverflowedGradientIsCaughtBeforeTheStep) {
   EXPECT_FALSE(guard.PreStep(loss.item()));
   EXPECT_EQ(guard.stats().nonfinite_grad, 1);
   EXPECT_EQ(p.at(0), 0.0f);
+}
+
+// PreStep scans the gradients for a NaN or an Inf instead of summing their
+// squares; its verdict is std::isfinite(GlobalGradNorm) wherever the bad
+// element sits: first, middle or last parameter, first or last element.
+// Gradients at the float limits are finite (their squares fit a double),
+// and a parameter with no gradient buffer is skipped.
+TEST(NumericGuardTest, GradScanVerdictMatchesGlobalGradNorm) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float bads[] = {std::numeric_limits<float>::quiet_NaN(), kInf, -kInf};
+  struct Placement {
+    std::size_t param;
+    std::int64_t index;
+  };
+  // Parameter 2 never gets a gradient buffer.
+  const Placement places[] = {{0, 0}, {0, 4}, {1, 0}, {1, 16}, {3, 20}};
+  const std::int64_t sizes[] = {5, 33, 8, 21};
+  auto run = [&](const float* bad, const Placement* at) {
+    std::vector<Tensor> params;
+    for (const std::int64_t n : sizes) {
+      params.push_back(Tensor::Zeros({n}).set_requires_grad(true));
+    }
+    nn::Adam adam(params, nn::AdamOptions{});
+    nn::NumericGuard guard(&adam);
+    for (std::size_t p = 0; p < params.size(); ++p) {
+      if (p == 2) continue;
+      float* g = params[p].impl()->EnsureGrad();
+      for (std::int64_t i = 0; i < params[p].numel(); ++i) {
+        g[i] = i % 3 == 0 ? std::numeric_limits<float>::max()
+                          : -std::numeric_limits<float>::denorm_min();
+      }
+    }
+    if (bad != nullptr) params[at->param].impl()->grad[at->index] = *bad;
+    const bool want = std::isfinite(nn::GlobalGradNorm(params));
+    EXPECT_EQ(guard.PreStep(1.0f), want);
+    return want;
+  };
+  EXPECT_TRUE(run(nullptr, nullptr));
+  for (const float& bad : bads) {
+    for (const Placement& at : places) {
+      EXPECT_FALSE(run(&bad, &at)) << "param " << at.param << " index "
+                                   << at.index;
+    }
+  }
 }
 
 TEST(NumericGuardTest, GivesUpAfterMaxConsecutiveSkips) {

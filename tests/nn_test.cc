@@ -1,5 +1,6 @@
 // Tests for the NN layer: module registry, layers, attention, transformer,
 // positional encoding, Adam optimization, and checkpoint round-trips.
+#include <bit>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -240,6 +241,98 @@ TEST(AdamTest, ExportImportStateReplaysIdentically) {
   for (std::int64_t i = 0; i < 3; ++i) EXPECT_EQ(p1.at(i), p2.at(i));
   EXPECT_EQ(a.num_steps(), 8);
   EXPECT_EQ(b.num_steps(), 8);
+}
+
+// The scalar Adam step as it was before the update ran 16 lanes wide:
+// serial double clip norm, then the per-element expressions in order.
+void AdamStepSeed(const nn::AdamOptions& o, std::int64_t step,
+                  std::vector<std::vector<float>>* w,
+                  std::vector<std::vector<float>>* m,
+                  std::vector<std::vector<float>>* v,
+                  const std::vector<std::vector<float>>& g) {
+  const float bias1 = 1.0f - std::pow(o.beta1, static_cast<float>(step));
+  const float bias2 = 1.0f - std::pow(o.beta2, static_cast<float>(step));
+  float scale = 1.0f;
+  if (o.clip_grad_norm > 0.0f) {
+    double sq = 0.0;
+    for (const auto& gp : g) {
+      for (const float x : gp) {
+        sq += static_cast<double>(x) * static_cast<double>(x);
+      }
+    }
+    const double norm = std::sqrt(sq);
+    if (norm > o.clip_grad_norm) {
+      scale = static_cast<float>(o.clip_grad_norm / (norm + 1e-12));
+    }
+  }
+  for (std::size_t p = 0; p < g.size(); ++p) {
+    for (std::size_t i = 0; i < g[p].size(); ++i) {
+      const float grad = g[p][i] * scale;
+      float& mi = (*m)[p][i];
+      float& vi = (*v)[p][i];
+      mi = o.beta1 * mi + (1.0f - o.beta1) * grad;
+      vi = o.beta2 * vi + (1.0f - o.beta2) * grad * grad;
+      const float m_hat = mi / bias1;
+      const float v_hat = vi / bias2;
+      (*w)[p][i] -= o.learning_rate * m_hat / (std::sqrt(v_hat) + o.eps);
+    }
+  }
+}
+
+// Lengths off the 16-lane grid and one past the parallel threshold, with
+// zero and huge (squares overflow to Inf) gradients, clipping off and on:
+// every weight and moment equals the scalar step's bits after each step.
+TEST(AdamTest, VectorUpdateMatchesScalarFormBitwise) {
+  const std::int64_t lengths[] = {1, 15, 16, 17, 37, (1 << 15) + 5};
+  for (const float clip : {0.0f, 1.0f}) {
+    Rng rng(12);
+    std::vector<Tensor> params;
+    std::vector<std::vector<float>> w;
+    for (const std::int64_t n : lengths) {
+      Tensor p = Tensor::Randn({n}, &rng).set_requires_grad(true);
+      w.emplace_back(p.data(), p.data() + n);
+      params.push_back(p);
+    }
+    std::vector<std::vector<float>> m;
+    std::vector<std::vector<float>> v;
+    for (const auto& wp : w) {
+      m.emplace_back(wp.size(), 0.0f);
+      v.emplace_back(wp.size(), 0.0f);
+    }
+    nn::AdamOptions options;
+    options.learning_rate = 1e-3f;
+    options.clip_grad_norm = clip;
+    Adam adam(params, options);
+    for (std::int64_t step = 1; step <= 4; ++step) {
+      std::vector<std::vector<float>> g;
+      for (Tensor& p : params) {
+        float* pg = p.impl()->EnsureGrad();
+        for (std::int64_t i = 0; i < p.numel(); ++i) {
+          const std::uint64_t pick = rng.UniformInt(10);
+          pg[i] = pick == 0   ? 0.0f
+                  : pick == 1 ? (i % 2 ? 1e30f : -3e25f)
+                              : static_cast<float>(rng.Normal(0.0, 0.1));
+        }
+        g.emplace_back(pg, pg + p.numel());
+      }
+      adam.Step();
+      AdamStepSeed(options, step, &w, &m, &v, g);
+      const nn::AdamState state = adam.ExportState();
+      for (std::size_t p = 0; p < params.size(); ++p) {
+        for (std::size_t i = 0; i < w[p].size(); ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(params[p].data()[i]),
+                    std::bit_cast<std::uint32_t>(w[p][i]))
+              << "clip " << clip << " step " << step << " param " << p
+              << " i " << i;
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(state.m[p][i]),
+                    std::bit_cast<std::uint32_t>(m[p][i]));
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(state.v[p][i]),
+                    std::bit_cast<std::uint32_t>(v[p][i]));
+        }
+      }
+      adam.ZeroGrad();
+    }
+  }
 }
 
 TEST(AdamTest, ImportStateRejectsMismatchedShapes) {
