@@ -64,14 +64,6 @@ void PerWindowNormalize(std::vector<float>* values, std::int64_t len,
 
 namespace {
 
-// TFMAE_INFERENCE_PLAN gates pre-planned inference ("0" disables; default
-// on — capture self-verification makes the plan safe by construction).
-bool InferencePlanEnvDefault() {
-  const char* v = std::getenv("TFMAE_INFERENCE_PLAN");
-  if (v == nullptr || *v == '\0') return true;
-  return !(v[0] == '0' && v[1] == '\0');
-}
-
 // TFMAE_QUANT selects the scoring precision: "int8" enables the quantized
 // path (with automatic fp32 fallback), anything else is off.
 TfmaeDetector::QuantMode QuantModeEnvDefault() {
@@ -92,7 +84,6 @@ TfmaeDetector::TfmaeDetector(TfmaeConfig config, std::string name)
     : name_(std::move(name)),
       config_(config),
       rng_(config.seed),
-      plan_enabled_(InferencePlanEnvDefault()),
       quant_mode_(QuantModeEnvDefault()) {}
 
 void TfmaeDetector::SetQuantMode(QuantMode mode) {
@@ -633,7 +624,6 @@ std::vector<float> TfmaeDetector::Score(const data::TimeSeries& series) {
               "plan",
               {{"ops", std::to_string(ps.ops)},
                {"captured_ops", std::to_string(ps.captured_ops)},
-               {"fused_ops", std::to_string(ps.fused_ops)},
                {"elided_reshapes", std::to_string(ps.elided_reshapes)},
                {"slots", std::to_string(ps.slots)},
                {"arena_bytes", std::to_string(ps.arena_bytes)},

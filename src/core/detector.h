@@ -112,10 +112,10 @@ class TfmaeDetector : public AnomalyDetector {
   /// first step).
   const data::ZScoreNormalizer& normalizer() const { return normalizer_; }
 
-  /// Pre-planned inference (DESIGN.md §10). On by default (TFMAE_INFERENCE_PLAN=0
-  /// disables): the first scored window captures the graph into an
-  /// InferencePlan and later windows replay it, bitwise-identically to the
-  /// eager path. Any capture failure falls back to eager scoring.
+  /// Pre-planned inference (DESIGN.md §10). On by default: the first
+  /// scored window captures the graph into an InferencePlan and later
+  /// windows replay it, bitwise-identically to the eager path. Any capture
+  /// failure falls back to eager scoring; off scores every window eagerly.
   void SetInferencePlanEnabled(bool on) { plan_enabled_ = on; }
   bool inference_plan_enabled() const { return plan_enabled_; }
 

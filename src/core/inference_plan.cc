@@ -5,11 +5,8 @@
 //   2. elide   — Reshape outputs become value aliases of their inputs (a
 //                row-major reshape is a copy with identical contents, so the
 //                consumer can read the producer's storage directly).
-//   3. fuse    — single-use elementwise (binary) producers are folded into
-//                their consuming binary op as a per-element step program;
-//                the folded intermediate is never materialized. Per-element
-//                arithmetic and operand values are unchanged, so fusion is
-//                bitwise-invisible.
+//   3. lower   — int8 plans only: calibrated weight-bearing matmuls become
+//                quant-linear ops (DESIGN.md §12).
 //   4. plan    — lifetime analysis (first-def / last-use op interval per
 //                storage) feeds a best-fit offset allocator that lays every
 //                input, intermediate, and op scratch region into one arena.
@@ -31,7 +28,6 @@
 #include <iterator>
 #include <limits>
 #include <map>
-#include <unordered_map>
 #include <utility>
 
 #include "nn/transformer.h"
@@ -50,23 +46,9 @@ namespace {
 namespace cap = ops::capture;
 namespace kn = ops::kernels;
 
-// Fused per-element programs are bounded so replay can evaluate them on a
-// fixed-size stack array.
-constexpr int kMaxFusedSteps = 8;
-constexpr int kMaxFusedExt = 2 * kMaxFusedSteps;
-
 // Arena offsets are aligned to 16 floats (64 bytes, one cache line) so
 // adjacent slots never share a line.
 constexpr std::int64_t kAlignFloats = 16;
-
-/// One step of a fused elementwise program. Operands encode as: >= 0 — an
-/// index into the op's external operand table; < 0 — the result of step
-/// -(value + 1).
-struct FusedStep {
-  kn::BinaryKind kind = kn::BinaryKind::kAdd;
-  int lhs = 0;
-  int rhs = 0;
-};
 
 struct ReplayOp;
 using ReplayFn = void (*)(const ReplayOp&);
@@ -124,11 +106,6 @@ struct ReplayOp {
   std::int64_t grain = 1;    ///< row chunk grain (scratch region indexing)
   const float* pe = nullptr;  ///< positional-encoding table (kPosEncAdd)
 
-  int nsteps = 0;
-  FusedStep steps[kMaxFusedSteps];
-  const float* ext[kMaxFusedExt] = {nullptr};
-  std::int64_t ext_n[kMaxFusedExt] = {0};
-
   const QuantOpData* qd = nullptr;  ///< int8 linear ops only
 };
 
@@ -136,67 +113,12 @@ struct ReplayOp {
 //
 // Every kernel reproduces the corresponding eager forward exactly: same
 // per-element arithmetic (tensor/op_kernels.h), same accumulation order.
-// Elementwise kernels use the coarser fixed-grain dispatch — chunk layout
-// cannot change values when writes are disjoint — so a replayed window
-// crosses the thread pool far fewer times than its eager twin.
+// The elementwise kernels cut the eager ops' chunks (ForEachElemChunk).
 
 void RunBinary(const ReplayOp& op) {
   const auto kind = static_cast<kn::BinaryKind>(op.m);
-  kn::ForEachElemChunkCoarse(op.out_n, [&op, kind](std::int64_t s,
-                                                   std::int64_t e) {
+  kn::ForEachElemChunk(op.out_n, [&op, kind](std::int64_t s, std::int64_t e) {
     kn::BinaryRange(kind, op.in0, op.n0, op.in1, op.n1, s, e, op.out);
-  });
-}
-
-void RunFused(const ReplayOp& op) {
-  // Block-evaluated step program: each step runs as a tight binary loop over
-  // a stack-resident block, so the interpreter overhead (operand resolution,
-  // kind switch) is paid per block+step, not per element. Element order and
-  // per-element arithmetic are exactly those of the unfused chain, so the
-  // result stays bitwise-identical.
-  kn::ForEachElemChunkCoarse(op.out_n, [&op](std::int64_t s, std::int64_t e) {
-    constexpr std::int64_t kBlock = 256;
-    float buf[kMaxFusedSteps][kBlock];
-    float gather_a[kBlock];
-    float gather_b[kBlock];
-    for (std::int64_t b = s; b < e; b += kBlock) {
-      const std::int64_t n = std::min(kBlock, e - b);
-      for (int si = 0; si < op.nsteps; ++si) {
-        const FusedStep& st = op.steps[si];
-        // Resolve each operand to a dense pointer for this block: a prior
-        // step's block, a full-size external slice, or a gathered broadcast
-        // (rolling cursor, no per-element division).
-        auto resolve = [&](int operand, float* gather) -> const float* {
-          if (operand < 0) return buf[-operand - 1];
-          const float* p = op.ext[operand];
-          const std::int64_t pn = op.ext_n[operand];
-          if (pn == op.out_n) return p + b;
-          std::int64_t ip = b % pn;
-          for (std::int64_t i = 0; i < n; ++i) {
-            gather[i] = p[ip];
-            if (++ip == pn) ip = 0;
-          }
-          return gather;
-        };
-        const float* pa = resolve(st.lhs, gather_a);
-        const float* pb = resolve(st.rhs, gather_b);
-        float* po = si == op.nsteps - 1 ? op.out + b : buf[si];
-        switch (st.kind) {
-          case kn::BinaryKind::kAdd:
-            for (std::int64_t i = 0; i < n; ++i) po[i] = pa[i] + pb[i];
-            break;
-          case kn::BinaryKind::kSub:
-            for (std::int64_t i = 0; i < n; ++i) po[i] = pa[i] - pb[i];
-            break;
-          case kn::BinaryKind::kMul:
-            for (std::int64_t i = 0; i < n; ++i) po[i] = pa[i] * pb[i];
-            break;
-          case kn::BinaryKind::kDiv:
-            for (std::int64_t i = 0; i < n; ++i) po[i] = pa[i] / pb[i];
-            break;
-        }
-      }
-    }
   });
 }
 
@@ -205,7 +127,7 @@ void RunBiasGelu(const ReplayOp& op) {
   const float* bias = op.in1;
   const std::int64_t bn = op.n1;
   float* out = op.out;
-  kn::ForEachElemChunkCoarse(op.out_n, [=](std::int64_t s, std::int64_t e) {
+  kn::ForEachElemChunk(op.out_n, [=](std::int64_t s, std::int64_t e) {
     kn::BiasGeluRange(x, bias, bn, s, e, out, nullptr);
   });
 }
@@ -547,7 +469,7 @@ std::unique_ptr<InferencePlan> InferencePlan::Capture(
     prog.push_back(std::move(op));
   }
 
-  // 2b. Int8 lowering (quantized plans only): every weight-bearing matmul
+  // 3. Int8 lowering (quantized plans only): every weight-bearing matmul
   // with a calibrated site becomes a quant-linear op. A single consumer
   // that is the Linear bias add (kBinary kAdd with a weight operand) or the
   // feed-forward kBiasGelu is folded into the dequantization epilogue — the
@@ -577,42 +499,6 @@ std::unique_ptr<InferencePlan> InferencePlan::Capture(
         consumer[in] = consumer[in] == -1 ? i : -2;
       }
     }
-    // Debug-only site filter for parity bisection: comma-separated weight
-    // indices. SKIP keeps the listed sites fp32; ONLY quantizes nothing but
-    // the listed sites. Unset in production.
-    auto parse_wlist = [](const char* name) {
-      std::vector<int> out;
-      const char* s = std::getenv(name);
-      if (s == nullptr) return out;
-      int v = 0;
-      bool have = false;
-      for (; ; ++s) {
-        if (*s >= '0' && *s <= '9') {
-          v = v * 10 + (*s - '0');
-          have = true;
-        } else {
-          if (have) out.push_back(v);
-          v = 0;
-          have = false;
-          if (*s == '\0') break;
-        }
-      }
-      return out;
-    };
-    const std::vector<int> dbg_skip = parse_wlist("TFMAE_QUANT_SKIP_W");
-    const std::vector<int> dbg_only = parse_wlist("TFMAE_QUANT_ONLY_W");
-    auto dbg_allows = [&](int w) {
-      for (int v : dbg_skip) {
-        if (v == w) return false;
-      }
-      if (!dbg_only.empty()) {
-        for (int v : dbg_only) {
-          if (v == w) return true;
-        }
-        return false;
-      }
-      return true;
-    };
     std::vector<bool> removed(prog.size(), false);
     std::vector<int> qmark(prog.size(), -1);
     for (int i = 0; i < static_cast<int>(prog.size()); ++i) {
@@ -622,7 +508,6 @@ std::unique_ptr<InferencePlan> InferencePlan::Capture(
       if (nodes[w_node].kind != cap::NodeKind::kWeight) continue;
       const QuantSite* site = quant->Find(nodes[w_node].weight_index);
       if (site == nullptr) continue;
-      if (!dbg_allows(nodes[w_node].weight_index)) continue;
       const std::int64_t k = op.attrs[1];
       const std::int64_t n = op.attrs[2];
       if (site->in_features != k ||
@@ -689,80 +574,14 @@ std::unique_ptr<InferencePlan> InferencePlan::Capture(
     plan->stats_.quant_linear_ops = static_cast<std::int64_t>(qsites.size());
   }
 
-  // 3. Fusion: fold single-use binary producers into their consuming binary
-  // op. Only when producer and consumer have equal element counts — the
-  // spliced steps must be indexable by the consumer's element index.
-  std::vector<int> uses(nodes.size(), 0);
-  for (const cap::CapturedOp& op : prog) {
-    for (int in : op.inputs) ++uses[in];
-  }
-  struct Program {
-    std::vector<FusedStep> steps;
-    std::vector<int> ext;  // canonical node ids
-  };
-  std::vector<Program> programs(prog.size());
-  std::vector<bool> folded(prog.size(), false);
-  std::unordered_map<int, int> producer_of;  // output node -> prog index
-  for (int i = 0; i < static_cast<int>(prog.size()); ++i) {
-    const cap::CapturedOp& op = prog[i];
-    if (op.kind != cap::OpKind::kBinary) continue;
-    Program pr;
-    auto operand = [&](int node) -> int {
-      auto it = producer_of.find(node);
-      if (it != producer_of.end() && uses[node] == 1 &&
-          nodes[node].numel == nodes[op.output].numel) {
-        const Program& sub = programs[it->second];
-        if (static_cast<int>(pr.steps.size() + sub.steps.size()) <
-            kMaxFusedSteps) {
-          const int ext_base = static_cast<int>(pr.ext.size());
-          const int step_base = static_cast<int>(pr.steps.size());
-          pr.ext.insert(pr.ext.end(), sub.ext.begin(), sub.ext.end());
-          for (const FusedStep& st : sub.steps) {
-            FusedStep moved = st;
-            moved.lhs = st.lhs >= 0 ? st.lhs + ext_base
-                                    : st.lhs - step_base;
-            moved.rhs = st.rhs >= 0 ? st.rhs + ext_base
-                                    : st.rhs - step_base;
-            pr.steps.push_back(moved);
-          }
-          folded[it->second] = true;
-          return -static_cast<int>(pr.steps.size());  // last spliced step
-        }
-      }
-      pr.ext.push_back(node);
-      return static_cast<int>(pr.ext.size()) - 1;
-    };
-    const int a = operand(op.inputs[0]);
-    const int b = operand(op.inputs[1]);
-    pr.steps.push_back(
-        {static_cast<kn::BinaryKind>(op.attrs[0]), a, b});
-    programs[i] = std::move(pr);
-    producer_of[op.output] = i;
-  }
-
-  // Live ops and their effective inputs (fused binaries read their external
-  // operand set, not the original two inputs).
-  std::vector<int> live;
-  for (int i = 0; i < static_cast<int>(prog.size()); ++i) {
-    if (folded[i]) {
-      ++plan->stats_.fused_ops;
-      continue;
-    }
-    live.push_back(i);
-  }
-  auto effective_inputs = [&](int pi) -> const std::vector<int>& {
-    return prog[pi].kind == cap::OpKind::kBinary ? programs[pi].ext
-                                                 : prog[pi].inputs;
-  };
-
-  // 4. Lifetime analysis + arena layout. def/last are indices into `live`;
-  // inputs are bound before op 0 (def -1) and terminal scores leave through
-  // the caller's buffer.
-  const int nops = static_cast<int>(live.size());
+  // 4. Lifetime analysis + arena layout. def/last are op indices; inputs
+  // are bound before op 0 (def -1) and terminal scores leave through the
+  // caller's buffer.
+  const int nops = static_cast<int>(prog.size());
   std::vector<int> def(nodes.size(), -2), last(nodes.size(), -2);
   for (int j = 0; j < nops; ++j) {
-    const cap::CapturedOp& op = prog[live[j]];
-    for (int in : effective_inputs(live[j])) {
+    const cap::CapturedOp& op = prog[j];
+    for (int in : op.inputs) {
       if (nodes[in].kind == cap::NodeKind::kIntermediate ||
           nodes[in].kind == cap::NodeKind::kInput) {
         last[in] = std::max(last[in], j);
@@ -779,7 +598,6 @@ std::unique_ptr<InferencePlan> InferencePlan::Capture(
   ArenaPlanner planner;
   std::vector<std::int64_t> offset(nodes.size(), -1);
   std::vector<std::int64_t> scratch_offset(nops, -1);
-  std::vector<std::int64_t> scratch_size(nops, 0);
   auto alloc_node = [&](int node) {
     offset[node] = planner.Alloc(nodes[node].numel);
     ++plan->stats_.slots;
@@ -788,11 +606,10 @@ std::unique_ptr<InferencePlan> InferencePlan::Capture(
     if (def[i] == -1) alloc_node(static_cast<int>(i));
   }
   for (int j = 0; j < nops; ++j) {
-    const cap::CapturedOp& op = prog[live[j]];
+    const cap::CapturedOp& op = prog[j];
     const std::int64_t sfloats = ScratchFloats(op);
     if (sfloats > 0) {
       scratch_offset[j] = planner.Alloc(sfloats);
-      scratch_size[j] = sfloats;
       ++plan->stats_.slots;
     }
     if (op.output >= 0) {
@@ -827,14 +644,14 @@ std::unique_ptr<InferencePlan> InferencePlan::Capture(
   struct QSlot {
     std::int64_t offset = -1;
     std::int64_t bytes = 0;
-    int first = -1;  ///< live-op index that quantizes
-    int last = -1;   ///< last live-op index that reads
+    int first = -1;  ///< op index that quantizes
+    int last = -1;   ///< last op index that reads
     int vec = -1;    ///< index into State::qch_scale / qch_inv
     std::vector<float> ch_absmax;  ///< per-channel calibrated |x| range
   };
   std::map<int, QSlot> qslots;  // by canonical x node
   for (int j = 0; j < nops; ++j) {
-    const int qi = qsite_of[live[j]];
+    const int qi = qsite_of[j];
     if (qi < 0) continue;
     const QuantLowering& lo = qsites[static_cast<std::size_t>(qi)];
     QSlot& slot = qslots[lo.x_node];
@@ -894,11 +711,10 @@ std::unique_ptr<InferencePlan> InferencePlan::Capture(
     plan->stats_.quant_arena_bytes = state->qarena_bytes;
   }
 
-  // 5. Positional-encoding tables (pure function of (length, dim); a
-  // longer table's prefix equals the shorter one, so the plan's private
-  // table matches the eager path's cache bit-for-bit).
-  for (int j = 0; j < nops; ++j) {
-    const cap::CapturedOp& op = prog[live[j]];
+  // 5. Resolve. Positional-encoding tables first (pure function of
+  // (length, dim); a longer table's prefix equals the shorter one, so the
+  // plan's private table matches the eager path's cache bit-for-bit).
+  for (const cap::CapturedOp& op : prog) {
     if (op.kind != cap::OpKind::kPosEncAdd) continue;
     const std::int64_t dim = op.attrs[1];
     if (state->pe_tables.count(dim) != 0) continue;
@@ -907,7 +723,7 @@ std::unique_ptr<InferencePlan> InferencePlan::Capture(
                                  table.data() + table.numel());
   }
 
-  // 6. Resolve every live op into a ReplayOp.
+  // Then every op becomes a ReplayOp.
   auto node_ptr = [&](int node) -> float* {
     const cap::NodeInfo& info = nodes[node];
     if (info.kind == cap::NodeKind::kWeight) {
@@ -938,13 +754,13 @@ std::unique_ptr<InferencePlan> InferencePlan::Capture(
   state->qpacks.reserve(qsites.size());
   const bool is_quant = quant != nullptr;
   for (int j = 0; j < nops; ++j) {
-    const cap::CapturedOp& op = prog[live[j]];
+    const cap::CapturedOp& op = prog[j];
     ReplayOp rop;
     if (op.output >= 0) {
       rop.out = node_ptr(op.output);
       rop.out_n = nodes[op.output].numel;
     }
-    const int qi = qsite_of[live[j]];
+    const int qi = qsite_of[j];
     if (qi >= 0) {
       // Int8 linear: pack this site's weights once, wire the shared u8
       // activation slot, fuse the dequant (+bias/+GeLU) epilogue.
@@ -990,30 +806,14 @@ std::unique_ptr<InferencePlan> InferencePlan::Capture(
       continue;
     }
     switch (op.kind) {
-      case cap::OpKind::kBinary: {
-        const Program& pr = programs[live[j]];
-        if (pr.steps.size() == 1) {
-          rop.fn = RunBinary;
-          rop.m = op.attrs[0];  // BinaryKind
-          const int a = pr.steps[0].lhs;
-          const int b = pr.steps[0].rhs;
-          rop.in0 = node_ptr(pr.ext[a]);
-          rop.n0 = nodes[pr.ext[a]].numel;
-          rop.in1 = node_ptr(pr.ext[b]);
-          rop.n1 = nodes[pr.ext[b]].numel;
-        } else {
-          rop.fn = RunFused;
-          rop.nsteps = static_cast<int>(pr.steps.size());
-          TFMAE_CHECK(rop.nsteps <= kMaxFusedSteps &&
-                      static_cast<int>(pr.ext.size()) <= kMaxFusedExt);
-          for (int si = 0; si < rop.nsteps; ++si) rop.steps[si] = pr.steps[si];
-          for (int ei = 0; ei < static_cast<int>(pr.ext.size()); ++ei) {
-            rop.ext[ei] = node_ptr(pr.ext[ei]);
-            rop.ext_n[ei] = nodes[pr.ext[ei]].numel;
-          }
-        }
+      case cap::OpKind::kBinary:
+        rop.fn = RunBinary;
+        rop.m = op.attrs[0];  // BinaryKind
+        rop.in0 = node_ptr(op.inputs[0]);
+        rop.n0 = nodes[op.inputs[0]].numel;
+        rop.in1 = node_ptr(op.inputs[1]);
+        rop.n1 = nodes[op.inputs[1]].numel;
         break;
-      }
       case cap::OpKind::kBiasGelu:
         rop.fn = RunBiasGelu;
         rop.in0 = node_ptr(op.inputs[0]);
@@ -1112,8 +912,7 @@ std::unique_ptr<InferencePlan> InferencePlan::Capture(
         state->terminal = j;
         break;
     }
-    rop.name =
-        rop.fn == RunFused ? "Fused" : kOpNames[static_cast<int>(op.kind)];
+    rop.name = kOpNames[static_cast<int>(op.kind)];
     state->ops.push_back(rop);
   }
   plan->stats_.ops = static_cast<std::int64_t>(state->ops.size());
@@ -1134,7 +933,7 @@ std::unique_ptr<InferencePlan> InferencePlan::Capture(
   plan->state_ = std::move(state);
   if (!terminal_ok) return fail("plan: score op is not terminal");
 
-  // 7. Self-verification. fp32 plans must reproduce the eager scores
+  // 6. Self-verification. fp32 plans must reproduce the eager scores
   // bit-for-bit. Int8 plans cannot (quantization changes values), so they
   // must instead (a) replay twice bitwise-identically — determinism —
   // (b) produce only finite scores, and (c) land inside a coarse

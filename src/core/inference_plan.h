@@ -35,8 +35,8 @@ namespace tfmae::core {
 /// ledger `plan` event.
 struct InferencePlanStats {
   std::int64_t captured_ops = 0;  ///< ops recorded by the capture pass
-  std::int64_t ops = 0;           ///< ops in the final plan (after fusion)
-  std::int64_t fused_ops = 0;     ///< elementwise producers folded away
+  std::int64_t ops = 0;  ///< ops in the final plan: the captured ops less
+                         ///< elided reshapes and int8-folded consumers
   std::int64_t elided_reshapes = 0;  ///< reshapes turned into storage aliases
   std::int64_t slots = 0;            ///< arena slots (inputs + intermediates)
   std::int64_t arena_bytes = 0;      ///< one logical allocation, total size

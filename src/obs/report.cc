@@ -109,8 +109,6 @@ RunDigest DigestRun(const LedgerFile& file) {
     } else if (event.type == "plan") {
       ++digest.plan_captures;
       digest.plan_ops = static_cast<std::int64_t>(event.Number("ops"));
-      digest.plan_fused_ops =
-          static_cast<std::int64_t>(event.Number("fused_ops"));
       digest.plan_arena_bytes =
           static_cast<std::int64_t>(event.Number("arena_bytes"));
     } else if (event.type == "quant") {
@@ -196,8 +194,8 @@ std::string RenderRunReport(const LedgerFile& file,
   }
   if (d.plan_captures > 0) {
     out += "  inference plan: " + FormatI(d.plan_captures) + " capture(s), " +
-           FormatI(d.plan_ops) + " ops (" + FormatI(d.plan_fused_ops) +
-           " fused away), arena " + FormatI(d.plan_arena_bytes) + " B\n";
+           FormatI(d.plan_ops) + " ops, arena " +
+           FormatI(d.plan_arena_bytes) + " B\n";
   }
   if (d.quant_calibrations + d.quant_plans + d.quant_fallbacks > 0) {
     out += "  quant:";

@@ -43,7 +43,6 @@ struct RunDigest {
   std::int64_t plan_captures = 0;     ///< "plan" events (inference-plan
                                       ///< captures) in the run
   std::int64_t plan_ops = 0;          ///< replay ops of the last capture
-  std::int64_t plan_fused_ops = 0;    ///< ops fused away in the last capture
   std::int64_t plan_arena_bytes = 0;  ///< arena size of the last capture
   // "quant" events (int8 scoring path, DESIGN.md §12).
   std::int64_t quant_calibrations = 0;  ///< verdict=calibrated events

@@ -4,16 +4,10 @@
 
 #include "tensor/ops_internal.h"
 #include "tensor/shape.h"
-#include "util/thread_pool.h"
 
 namespace tfmae::ops::kernels {
 
 namespace {
-// Coarse grain for batched replay elementwise ops: 4x the eager kElemGrain,
-// so a fused four-op chain dispatched once over coarse chunks creates ~16x
-// fewer pool handoffs than four eager ops at fine grain.
-constexpr std::int64_t kCoarseElemGrain = internal::kElemGrain * 4;
-
 // One dense row of BiasGeluRange: the bias is not broadcast within it.
 void BiasGeluRow(const float* x, const float* bias, std::int64_t n,
                  float* out, float* tanh_out) {
@@ -174,15 +168,6 @@ void Permute3Forward(const float* in, float* out,
 void ForEachElemChunk(
     std::int64_t n, const std::function<void(std::int64_t, std::int64_t)>& fn) {
   internal::ParallelElems(n, fn);
-}
-
-void ForEachElemChunkCoarse(
-    std::int64_t n, const std::function<void(std::int64_t, std::int64_t)>& fn) {
-  if (n < internal::kParallelThreshold) {
-    fn(0, n);
-    return;
-  }
-  ParallelFor(0, n, kCoarseElemGrain, fn);
 }
 
 std::int64_t RowChunkGrain(std::int64_t cols) {

@@ -9,8 +9,7 @@
 //
 // Kernels are row- or range-level: parallel dispatch (and therefore chunk
 // layout) stays with the caller. The ForEach* helpers re-export the
-// deterministic dispatch used by the eager ops plus a coarser-grained
-// variant for the replay executor's batched elementwise ops; all of them
+// deterministic dispatch of the eager ops for the replay executor; both
 // cut chunks at fixed boundaries that depend only on the element/row
 // counts, never the thread count (see util/thread_pool.h).
 //
@@ -38,7 +37,7 @@
 namespace tfmae::ops::kernels {
 
 /// Elementwise binary operator selector, shared between the eager BinaryOp
-/// and captured/fused replay programs.
+/// and the plan's Binary op.
 enum class BinaryKind { kAdd = 0, kSub = 1, kMul = 2, kDiv = 3 };
 
 template <BinaryKind K>
@@ -280,12 +279,6 @@ void Permute3Forward(const float* in, float* out,
 /// above.
 void ForEachElemChunk(std::int64_t n,
                       const std::function<void(std::int64_t, std::int64_t)>& fn);
-
-/// Coarser fixed-grain variant for the replay executor's batched/fused
-/// elementwise ops: fewer chunks means fewer pool handoffs per dispatch.
-/// Same serial threshold; chunk boundaries still depend only on n.
-void ForEachElemChunkCoarse(
-    std::int64_t n, const std::function<void(std::int64_t, std::int64_t)>& fn);
 
 /// The row grain ParallelRows / ForEachRowChunk use for this row width.
 std::int64_t RowChunkGrain(std::int64_t cols);

@@ -305,7 +305,8 @@ TEST(InferencePlanTest, ArenaIsOneLogicalAllocation) {
 
 // An open ledger receives one `plan` event per capture, carrying the
 // deterministic plan shape; its wall-clock t_capture_ms field is stripped
-// from the canonical stream like every other t_* field.
+// from the canonical stream like every other t_* field. An fp32 plan
+// replays every captured op but the reshapes it elided.
 TEST(InferencePlanTest, LedgerRecordsPlanEvent) {
   EnvGuard guard;
   const data::TimeSeries train = TinySignal(192, 2, 71);
@@ -336,7 +337,9 @@ TEST(InferencePlanTest, LedgerRecordsPlanEvent) {
   }
   ASSERT_NE(plan_event, nullptr) << "no plan event in the run ledger";
   EXPECT_GT(plan_event->Number("ops"), 0.0);
-  EXPECT_GT(plan_event->Number("fused_ops"), 0.0);
+  EXPECT_EQ(plan_event->Number("ops"),
+            plan_event->Number("captured_ops") -
+                plan_event->Number("elided_reshapes"));
   EXPECT_GT(plan_event->Number("arena_bytes"), 0.0);
   EXPECT_NE(plan_event->Field("t_capture_ms"), nullptr);
   const std::string canonical = obs::CanonicalEventStream(*file);

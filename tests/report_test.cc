@@ -116,12 +116,10 @@ TEST(ReportTest, PlanEventsSurfaceInDigestAndSummary) {
   // Two captures (geometry change mid-run); the digest keeps the last one.
   ledger.Event("plan", {{"ops", "120"},
                         {"captured_ops", "150"},
-                        {"fused_ops", "12"},
                         {"arena_bytes", "40960"},
                         {"t_capture_ms", "3.5"}});
   ledger.Event("plan", {{"ops", "140"},
                         {"captured_ops", "179"},
-                        {"fused_ops", "15"},
                         {"arena_bytes", "57600"},
                         {"t_capture_ms", "2.5"}});
   ASSERT_TRUE(ledger.Close());
@@ -132,14 +130,13 @@ TEST(ReportTest, PlanEventsSurfaceInDigestAndSummary) {
   const RunDigest d = DigestRun(*file);
   EXPECT_EQ(d.plan_captures, 2);
   EXPECT_EQ(d.plan_ops, 140);
-  EXPECT_EQ(d.plan_fused_ops, 15);
   EXPECT_EQ(d.plan_arena_bytes, 57600);
 
   ReportOptions options;
   options.show_timing = false;
   const std::string report = RenderRunReport(*file, options);
-  EXPECT_NE(report.find("inference plan: 2 capture(s), 140 ops "
-                        "(15 fused away), arena 57600 B"),
+  EXPECT_NE(report.find("inference plan: 2 capture(s), 140 ops, "
+                        "arena 57600 B"),
             std::string::npos)
       << report;
 }

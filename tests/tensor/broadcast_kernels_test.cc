@@ -255,8 +255,8 @@ struct BroadcastCase {
 };
 
 // Same shape, row bias, scalar, small operand on the left, and sizes past
-// the parallel threshold (32768) whose chunk starts (multiples of 16384 and
-// of the plan's 65536) fall mid-row of a 55-wide period.
+// the parallel threshold (32768) whose chunk starts (multiples of 16384)
+// fall mid-row of a 55-wide period.
 const BroadcastCase kCases[] = {
     {"same", {7, 55}, {7, 55}},
     {"row_bias", {9, 55}, {55}},
@@ -326,8 +326,9 @@ TEST(BroadcastKernelsTest, BinaryOpOnOneTensorTwiceMatchesSeed) {
   }
 }
 
-// The plan's Binary op is kernels::BinaryRange over the coarse replay
-// chunks; on the same operands it writes the eager op's bits.
+// The plan's Binary op is kernels::BinaryRange over the eager chunks
+// (ForEachElemChunk); on the same operands it writes the eager op's bits.
+// The 38 500- and 71 500-element cases cross the parallel threshold.
 TEST(BroadcastKernelsTest, PlanBinaryRangeMatchesEagerBinaryOp) {
   std::uint64_t seed = 500;
   for (const BroadcastCase& c : kCases) {
@@ -342,7 +343,7 @@ TEST(BroadcastKernelsTest, PlanBinaryRangeMatchesEagerBinaryOp) {
       const std::int64_t an = a.numel();
       const std::int64_t bn = b.numel();
       float* po = replay.data();
-      kernels::ForEachElemChunkCoarse(
+      kernels::ForEachElemChunk(
           eager.numel(), [=](std::int64_t s, std::int64_t e) {
             kernels::BinaryRange(kind, pa, an, pb, bn, s, e, po);
           });
